@@ -2,75 +2,15 @@
 
 The package reconstructs the Plimpton 322 tablet from divisor generators,
 enumerates integer solutions over scale-generator ranges, and reproduces
-the associated sexagesimal constants, all in exact arithmetic.
+the associated sexagesimal constants, all in exact arithmetic.  The names
+below are the documented library API; everything else lives in the
+submodules.
 """
 
-from .circle import PiApproximation, area_upper, outer_ring_ratio, pi_digits, true_area
-from .factor import (
-    DegenerateError,
-    FourthColumn,
-    GeneratorError,
-    GeneratorSolution,
-    NonDivisorError,
-    ParityError,
-    Triple,
-    angle_key,
-    angle_order,
-    derive_q,
-    fourth_column,
-    general,
-    normalized_sides,
-    solve_integer,
-)
-from .partitions import (
-    GeneratorPair,
-    ReciprocalPair,
-    enumerate_bounded,
-    k_star,
-    partition_table,
-    scale_to_partition,
-    standard_table,
-    step,
-    step_by_s,
-)
-from .sexagesimal import (
-    ExactRatio,
-    IrregularError,
-    NotASquareError,
-    ParseError,
-    PlaceValue,
-    Sexagesimal,
-    SexagesimalError,
-    is_regular,
-    isqrt,
-    machine_epsilon,
-    parse,
-    place_value_equal,
-    reciprocal,
-    to_string,
-)
-from .survey import (
-    Histogram,
-    SurveyRecord,
-    SurveyStats,
-    band_filter,
-    distinct_angles,
-    enumerate_solutions,
-    histogram,
-    p322_selection,
-    primitive_reduce,
-    stats,
-)
-from .tablet import (
-    TabletRow,
-    congruence_report,
-    corrected_table,
-    explain_errors,
-    p322_q_set,
-    prime_report,
-    q_variants,
-    reconstruct,
-    reconstruct_all,
-)
+from .factor import GeneratorError, Triple, derive_q, solve_integer
+from .partitions import enumerate_bounded
+from .sexagesimal import PlaceValue, Sexagesimal, SexagesimalError, parse, reciprocal, to_string
+from .survey import enumerate_solutions, p322_selection, stats
+from .tablet import corrected_table, p322_q_set, reconstruct_all
 
 __version__ = "0.1.0"

@@ -3,13 +3,11 @@
 pi comes from a built-in 50-digit decimal constant; the content here is the
 exact base-60 truncation arithmetic, the from-above area rule B = c**2/12,
 its exact correction factor 3/pi, and the concentric-circle diameter ratio
-sqrt(pi/3).  Working precision (significant decimal digits) defaults to 30
-and can be overridden with the MAKSARUM_PRECISION environment variable.
+sqrt(pi/3).  Decimal results carry 30 significant digits.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -19,22 +17,12 @@ from .sexagesimal import Sexagesimal
 _PI_50 = "3.1415926535897932384626433832795028841971693993751"
 PI_FRACTION = Fraction(Decimal(_PI_50))
 
-DEFAULT_PRECISION = 30
-
-
-def working_precision() -> int:
-    """Significant decimal digits for display-precision results (env override)."""
-    raw = os.environ.get("MAKSARUM_PRECISION", "")
-    try:
-        prec = int(raw)
-    except ValueError:
-        return DEFAULT_PRECISION
-    return max(prec, 1)
+PRECISION = 30  # significant decimal digits, well inside the 50-digit literal
 
 
 def pi_decimal() -> Decimal:
     with localcontext() as ctx:
-        ctx.prec = working_precision()
+        ctx.prec = PRECISION
         return +Decimal(_PI_50)
 
 
@@ -59,7 +47,7 @@ def pi_digits(k: int) -> PiApproximation:
         raise ValueError(f"k must be in 1..8, got {k}")
     value = Fraction(int(PI_FRACTION * 60**k), 60**k)
     with localcontext() as ctx:
-        ctx.prec = max(working_precision(), 30)
+        ctx.prec = PRECISION
         err = +(Decimal(_PI_50) - Decimal(value.numerator) / Decimal(value.denominator))
     return PiApproximation(Sexagesimal.truncate(value, k), k, err)
 
@@ -73,19 +61,19 @@ def area_upper(c: Fraction) -> Fraction:
 
 
 def true_area(c: Fraction) -> Decimal:
-    """True disc area c**2 / (4*pi) at working precision."""
+    """True disc area c**2 / (4*pi) to 30 significant digits."""
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"circumference must be positive, got {c}")
     with localcontext() as ctx:
-        ctx.prec = working_precision()
+        ctx.prec = PRECISION
         return +(Decimal(c.numerator) ** 2 / (Decimal(c.denominator) ** 2 * 4 * pi_decimal()))
 
 
 def area_correction_factor() -> Decimal:
     """3/pi: multiplying B by it recovers the true area exactly."""
     with localcontext() as ctx:
-        ctx.prec = working_precision()
+        ctx.prec = PRECISION
         return +(3 / pi_decimal())
 
 
@@ -97,11 +85,11 @@ def area_correction_sexagesimal(k: int = 5) -> Sexagesimal:
 def outer_ring_ratio() -> tuple[Decimal, Sexagesimal]:
     """Diameter ratio sqrt(pi/3) of the from-above circle to the true circle.
 
-    Returns the decimal value at working precision and its five-sexagesit
+    Returns the decimal value to 30 significant digits and its five-sexagesit
     truncation 01.~01~23~58~34~08.
     """
     with localcontext() as ctx:
-        ctx.prec = max(working_precision(), 30)
+        ctx.prec = PRECISION
         ratio = (Decimal(_PI_50) / 3).sqrt()
         trunc = Sexagesimal.truncate(Fraction(ratio), 5)
     return ratio, trunc

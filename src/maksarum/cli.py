@@ -165,19 +165,14 @@ def _parse_q_selector(args: argparse.Namespace) -> list[int]:
     if args.q_range is not None:
         lo, _, hi = args.q_range.partition(":")
         try:
-            lo_i, hi_i = int(lo), int(hi)
+            return list(range(int(lo), int(hi) + 1))
         except ValueError:
-            raise SystemExit(f"bad --Q-range {args.q_range!r}; expected LOW:HIGH")
-        if lo_i < 1 or hi_i < lo_i:
-            raise SystemExit(f"bad --Q-range {args.q_range!r}")
-        return list(range(lo_i, hi_i + 1))
-    if args.q_set == "p322":
-        return tablet.p322_q_set()
-    raise SystemExit(f"unknown --Q-set {args.q_set!r}")
+            raise ValueError(f"bad --Q-range {args.q_range!r}; expected LOW:HIGH") from None
+    return tablet.p322_q_set()
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
-    records = survey.enumerate_solutions(_parse_q_selector(args), m=args.m, jobs=args.jobs)
+    records = survey.enumerate_solutions(_parse_q_selector(args), m=args.m)
     scoped = survey.band_filter(records, args.band)
     if args.report:
         s = survey.stats(records)
@@ -236,8 +231,6 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 # --- pi / giza --------------------------------------------------------------
 
 def cmd_pi(args: argparse.Namespace) -> int:
-    if not 1 <= args.digits <= 8:
-        raise SystemExit(f"--digits must be in 1..8, got {args.digits}")
     for k in range(1, args.digits + 1):
         approx = circle.pi_digits(k)
         frac = approx.fractional_part
@@ -312,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the record CSV here")
     p.add_argument("--histogram-out", default=None, help="write an angle histogram CSV here")
     p.add_argument("--bin-width", type=float, default=1.0, help="histogram bin width in degrees")
-    p.add_argument("--jobs", type=int, default=1, help="shard enumeration by Q (same output)")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("partitions", help="reciprocal table and partition tables")
@@ -325,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("pi", help="base-60 truncations of pi")
-    p.add_argument("--digits", type=int, default=8, help="deepest truncation to print (1..8)")
+    p.add_argument("--digits", type=int, choices=range(1, 9), default=8, metavar="K",
+                   help="deepest truncation to print (1..8)")
     p.add_argument("--extras", action="store_true", help="also print 3/pi and sqrt(pi/3)")
     p.set_defaults(func=cmd_pi)
 
@@ -344,6 +337,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"maksarum: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # bad input, SexagesimalError and GeneratorError included
+        print(f"maksarum: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -137,11 +137,6 @@ def solve_integer(x: int, q: int, m: int = 12) -> GeneratorSolution:
     return GeneratorSolution(x, y, q, m, t, try_fourth_column(t))
 
 
-def general(m: int, q_m: int, x: int) -> Triple:
-    """The general bundling-factor scheme; coincides with solve_integer for m=12."""
-    return solve_integer(x, q_m, m).triple
-
-
 def normalized_sides(x_gen: Fraction, m: int = 12) -> tuple[Fraction, Fraction]:
     """Exact normalized sides (A, D) for generator X against the side m.
 

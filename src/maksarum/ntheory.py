@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import isqrt
-
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
@@ -25,16 +23,8 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    divs.sort()
-    return divs
-
-
 def divisors_from_factors(factors: dict[int, int]) -> list[int]:
+    """All positive divisors of the number factored as {prime: exponent}, ascending."""
     divs = [1]
     for p, e in factors.items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
@@ -43,16 +33,5 @@ def divisors_from_factors(factors: dict[int, int]) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (exact for all int sizes used here)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d <= isqrt(n):
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Exact primality: n is prime iff its factorization is n itself."""
+    return n >= 2 and factorize(n) == {n: 1}

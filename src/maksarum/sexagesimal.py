@@ -5,7 +5,7 @@ A ``Sexagesimal`` is a nonnegative rational whose denominator is a power of
 A ``PlaceValue`` is a normalized mantissa together with a signed power-of-60
 shift, mirroring the floating (relative) notation in which a numeral's scale
 is a display choice.  All arithmetic is exact; :class:`fractions.Fraction`
-serves as the reference rational type (aliased ``ExactRatio``).
+serves as the reference rational type.
 
 Text forms accepted and emitted:
 
@@ -20,11 +20,10 @@ Text forms accepted and emitted:
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Union
-
-ExactRatio = Fraction
 
 BASE = 60
 
@@ -83,7 +82,50 @@ def isqrt(n: int) -> int:
     return r
 
 
-class Sexagesimal:
+class _Exact:
+    """Equality, ordering and hashing on the exact rational ``value``.
+
+    Operands may be Sexagesimal, PlaceValue, int or Fraction; any other type
+    gives NotImplemented, so ``==`` is False and ordering raises TypeError.
+    """
+
+    __slots__ = ()
+
+    value: Fraction
+
+    def _compare(self, other: object, op) -> bool:
+        v = _value_of(other)
+        return NotImplemented if v is None else op(self.value, v)
+
+    def __eq__(self, other: object) -> bool:
+        return self._compare(other, operator.eq)
+
+    def __lt__(self, other: object) -> bool:
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other: object) -> bool:
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other: object) -> bool:
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other: object) -> bool:
+        return self._compare(other, operator.ge)
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+
+def _value_of(x: object) -> Fraction | None:
+    """Exact value of a numeral, int or Fraction; None for any other type."""
+    if isinstance(x, _Exact):
+        return x.value
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return None
+
+
+class Sexagesimal(_Exact):
     """Normalized nonnegative finite base-60 number.
 
     Invariants: every digit lies in [0, 59]; no trailing zero fractional
@@ -194,24 +236,6 @@ class Sexagesimal:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Sexagesimal):
-            return self._scaled == other._scaled and self._frac_len == other._frac_len
-        if isinstance(other, PlaceValue):
-            return self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __lt__(self, other: "Sexagesimal | int | Fraction") -> bool:
-        return self.value < (other.value if isinstance(other, (Sexagesimal, PlaceValue)) else other)
-
-    def __le__(self, other: "Sexagesimal | int | Fraction") -> bool:
-        return self.value <= (other.value if isinstance(other, (Sexagesimal, PlaceValue)) else other)
-
     def __str__(self) -> str:
         return to_string(self)
 
@@ -227,7 +251,7 @@ def _coerce(v: "Sexagesimal | int") -> Sexagesimal:
     raise TypeError(f"cannot coerce {type(v).__name__} to Sexagesimal")
 
 
-class PlaceValue:
+class PlaceValue(_Exact):
     """A value in floating notation: normalized integer mantissa times 60**shift.
 
     The mantissa carries no trailing zero digit (it is not divisible by 60)
@@ -275,16 +299,6 @@ class PlaceValue:
     def same_mantissa(self, other: "PlaceValue | Sexagesimal | int | Fraction") -> bool:
         return place_value_equal(self, other)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PlaceValue):
-            return self._mantissa == other._mantissa and self._shift == other._shift
-        if isinstance(other, (Sexagesimal, int, Fraction)):
-            return self.value == (other.value if isinstance(other, Sexagesimal) else other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
     def __str__(self) -> str:
         return to_string(self)
 
@@ -297,8 +311,9 @@ Numeral = Union[Sexagesimal, PlaceValue]
 
 def place_value_equal(a: "Numeral | int | Fraction", b: "Numeral | int | Fraction") -> bool:
     """True iff a and b agree up to a factor 60**k (identical normalized mantissas)."""
-    va = a.value if isinstance(a, (Sexagesimal, PlaceValue)) else Fraction(a)
-    vb = b.value if isinstance(b, (Sexagesimal, PlaceValue)) else Fraction(b)
+    va, vb = _value_of(a), _value_of(b)
+    if va is None or vb is None:
+        raise TypeError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     if va == 0 or vb == 0:
         return va == vb
     r = va / vb

@@ -9,7 +9,6 @@ histogram binning and display columns.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -68,11 +67,12 @@ def _in_p322(a: int, b: int) -> bool:
 
 def _record(sol: GeneratorSolution) -> SurveyRecord:
     t = sol.triple
-    g = gcd(t.a, t.b)
+    g = gcd(t.a, t.b)  # divides d too, since d**2 = a**2 + b**2
+    a, b = t.a // g, t.b // g
     return SurveyRecord(
         sol,
-        (t.a // g, t.b // g),
-        primitive_reduce(t),
+        (a, b),
+        Triple(a, b, t.d // g),
         _in_pi6_pi4(t.a, t.b),
         _in_p322(t.a, t.b),
     )
@@ -94,21 +94,13 @@ def _solutions_for_q(q: int, m: int) -> list[SurveyRecord]:
     return out
 
 
-def enumerate_solutions(q_values: Iterable[int], m: int = 12, jobs: int = 1) -> list[SurveyRecord]:
-    """All solutions for the given scale generators, ordered by (Q, x).
-
-    jobs > 1 shards the work by Q; the merge restores (Q, x) order so output
-    is identical for every jobs value.
-    """
+def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyRecord]:
+    """All solutions for the given scale generators, ordered by (Q, x)."""
     qs = sorted(set(q_values))
     if not qs:
         raise ValueError("empty Q set")
-    if any(q < 1 for q in qs):
-        raise ValueError(f"scale generators must be >= 1: {qs[:5]}...")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(lambda q: _solutions_for_q(q, m), qs)
-            return [rec for chunk in chunks for rec in chunk]
+    if m < 1 or qs[0] < 1:
+        raise ValueError(f"M and Q must be >= 1, got M={m} and Q={qs[0]}")
     return [rec for q in qs for rec in _solutions_for_q(q, m)]
 
 

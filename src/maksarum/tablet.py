@@ -196,14 +196,8 @@ def explain_errors() -> list[ErrorModel]:
         )
     )
 
-    row15 = _TABLE[14]
-    raw_a, raw_d = int(parse(row15.raw_a).value), int(parse(row15.raw_d).value)
-    repairs = [
-        ("double_d", Triple(raw_a, 90, 2 * raw_d)),
-        ("halve_a", Triple(raw_a // 2, 45, raw_d)),
-        ("scale_60", Triple(raw_a // 2 * 60, 2700, raw_d * 60)),
-    ]
-    adopted = repairs[2][1] == row15.triple
+    repairs = row15_repairs()
+    adopted = repairs[2][1] == _TABLE[14].triple
     lines = ", ".join(f"{name} -> ({t.a}, {t.b}, {t.d})" for name, t in repairs)
     out.append(ErrorModel(15, ERROR_SCALE_ROW15, f"three repairs: {lines}", adopted))
     return out
@@ -211,10 +205,12 @@ def explain_errors() -> list[ErrorModel]:
 
 def row15_repairs() -> list[tuple[str, Triple]]:
     """The three consistent repairs of the final row's carved (a=56, d=53)."""
+    row15 = _TABLE[14]
+    raw_a, raw_d = int(parse(row15.raw_a).value), int(parse(row15.raw_d).value)
     return [
-        ("double_d", Triple(56, 90, 106)),
-        ("halve_a", Triple(28, 45, 53)),
-        ("scale_60", Triple(1680, 2700, 3180)),
+        ("double_d", Triple(raw_a, 90, 2 * raw_d)),
+        ("halve_a", Triple(raw_a // 2, 45, raw_d)),
+        ("scale_60", Triple(raw_a // 2 * 60, 2700, raw_d * 60)),
     ]
 
 

@@ -1,6 +1,7 @@
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from maksarum.circle import (
@@ -10,7 +11,6 @@ from maksarum.circle import (
     outer_ring_ratio,
     pi_digits,
     true_area,
-    working_precision,
 )
 from maksarum.sexagesimal import to_string
 
@@ -108,10 +108,9 @@ def test_outer_ring_ratio():
     assert abs(ratio * ratio - Decimal("3.14159265358979323846") / 3) < Decimal("1e-20")
 
 
-def test_precision_env_override(monkeypatch):
-    monkeypatch.setenv("MAKSARUM_PRECISION", "40")
-    assert working_precision() == 40
-    monkeypatch.setenv("MAKSARUM_PRECISION", "junk")
-    assert working_precision() == 30
-    monkeypatch.delenv("MAKSARUM_PRECISION")
-    assert working_precision() == 30
+def test_constants_match_mpmath_to_30_digits():
+    # independent oracle: mpmath at 60 digits, rounded to 30 significant digits
+    with mpmath.workdps(60):
+        oracle = [Decimal(mpmath.nstr(v, 30)) for v in (3 / mpmath.pi, mpmath.sqrt(mpmath.pi / 3))]
+    ours = [area_correction_factor(), outer_ring_ratio()[0]]
+    assert [d.as_tuple() for d in ours] == [d.as_tuple() for d in oracle]

@@ -122,14 +122,6 @@ def test_survey_full_range_report_and_histogram(tmp_path, capsys):
     assert sum(int(line.split(",")[2]) for line in hist[1:]) == 50781
 
 
-def test_survey_jobs_identical_output(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run(capsys, "survey", "--Q-range", "1:40", "--out", str(a))
-    run(capsys, "survey", "--Q-range", "1:40", "--jobs", "4", "--out", str(b))
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_partitions_outputs(capsys):
     _, out = run(capsys, "partitions", "--standard", "--format", "tsv")
     lines = out.splitlines()
@@ -173,6 +165,25 @@ def test_usage_errors():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["survey", "--Q", "5", "--Q-range", "1:2"])
+    with pytest.raises(SystemExit):
+        main(["pi", "--digits", "9"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["survey", "--Q", "0"],
+    ["generate", "--Q", "0"],
+    ["generate", "--bounded", "-1"],
+    ["generate", "--bounded", "2", "--Xmin", "zz"],
+    ["survey", "--M", "0", "--Q", "3"],
+    ["survey", "--Q-range", "1:5", "--bin-width", "0", "--histogram-out", "F"],
+    ["survey", "--Q-range", "1-5", "--report"],
+])
+def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("maksarum: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_output_is_deterministic(capsys):

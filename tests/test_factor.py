@@ -13,7 +13,6 @@ from maksarum.factor import (
     angle_order,
     derive_q,
     fourth_column,
-    general,
     normalized_sides,
     solve_integer,
     try_fourth_column,
@@ -47,21 +46,26 @@ def test_solve_integer_errors():
 
 
 def test_general_scheme():
-    assert general(1, 6, 2) == Triple(8, 6, 10)
+    assert solve_integer(2, 6, 1).triple == Triple(8, 6, 10)
     # equivalent bundling factors produce the same triple
-    assert general(3, 40, 50) == general(12, 10, 50) == general(60, 2, 50) == Triple(119, 120, 169)
+    assert (
+        solve_integer(50, 40, 3).triple
+        == solve_integer(50, 10, 12).triple
+        == solve_integer(50, 2, 60).triple
+        == Triple(119, 120, 169)
+    )
 
 
 def test_m_equivalence_sweep():
     for q in range(1, 16):
         for rec_x in (2, 6, 8):
             try:
-                t12 = general(12, q, rec_x)
+                t12 = solve_integer(rec_x, q, 12).triple
             except Exception:
                 continue
-            assert general(3, 4 * q, rec_x) == t12
+            assert solve_integer(rec_x, 4 * q, 3).triple == t12
             if q % 5 == 0:
-                assert general(60, q // 5, rec_x) == t12
+                assert solve_integer(rec_x, q // 5, 60).triple == t12
 
 
 def test_normalized_sides():

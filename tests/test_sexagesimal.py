@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -194,6 +195,33 @@ def test_reciprocal_contract_property(x):
     else:
         with pytest.raises(IrregularError):
             reciprocal(x)
+
+
+def test_ordering_examples():
+    assert Sexagesimal(2) > 1 and Sexagesimal(2) >= 2 and 1 < Sexagesimal(2)
+    assert PlaceValue(1, -1) < PlaceValue(1, 0) <= Sexagesimal(1) < Fraction(61, 60)
+    assert sorted([PlaceValue(2), Sexagesimal(1, 1), 1]) == [Sexagesimal(1, 1), 1, 2]
+    assert Sexagesimal(1) != "01"
+    with pytest.raises(TypeError):
+        Sexagesimal(1) < "01"
+
+
+# small values so that equal operands of different types come up often
+small_fractions = st.builds(
+    lambda k, f: Fraction(k, 60**f), st.integers(min_value=0, max_value=120), st.integers(0, 1)
+)
+numerals = st.one_of(
+    small_fractions.map(Sexagesimal.from_fraction), small_fractions.map(PlaceValue.from_fraction)
+)
+comparands = st.one_of(numerals, small_fractions, st.integers(min_value=0, max_value=120))
+COMPARISONS = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@given(numerals, comparands, st.sampled_from(COMPARISONS))
+def test_comparisons_match_fraction_oracle(a, b, op):
+    vb = b.value if isinstance(b, (Sexagesimal, PlaceValue)) else Fraction(b)
+    assert op(a, b) == op(a.value, vb)
+    assert op(b, a) == op(vb, a.value)
 
 
 def test_roundtrip_random_bulk():
