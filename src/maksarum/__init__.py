@@ -10,7 +10,7 @@ submodules.
 from .factor import GeneratorError, Triple, derive_q, solve_integer
 from .partitions import enumerate_bounded
 from .sexagesimal import PlaceValue, Sexagesimal, SexagesimalError, parse, reciprocal, to_string
-from .survey import enumerate_solutions, p322_selection, stats
+from .survey import count_stats, enumerate_solutions, p322_selection, stats
 from .tablet import corrected_table, p322_q_set, reconstruct_all
 
 __version__ = "0.1.0"

@@ -171,16 +171,22 @@ def _parse_q_selector(args: argparse.Namespace) -> list[int]:
     return tablet.p322_q_set()
 
 
+def _quotient(num: int, den: int, digits: int) -> str:
+    return f"{num / den:.{digits}f}" if den else "n/a"
+
+
 def cmd_survey(args: argparse.Namespace) -> int:
-    records = survey.enumerate_solutions(_parse_q_selector(args), m=args.m)
-    scoped = survey.band_filter(records, args.band)
+    qs = survey.q_set(_parse_q_selector(args), m=args.m)
     if args.report:
-        s = survey.stats(records)
+        s = survey.count_stats(qs, m=args.m)
         print(f"{s.total} {s.pi6_pi4} {s.p322} / {s.distinct_total} {s.distinct_pi6_pi4} {s.distinct_p322}")
-        print(f"ratio pi6_pi4: {s.pi6_pi4}/{s.total} = {s.pi6_pi4 / s.total:.7f}")
-        print(f"ratio p322:    {s.p322}/{s.total} = {s.p322 / s.total:.7f}")
-        print(f"distinct pi6_pi4: {s.distinct_pi6_pi4}/{s.distinct_total} = {s.distinct_pi6_pi4 / s.distinct_total:.5f}")
-        print(f"distinct p322:    {s.distinct_p322}/{s.distinct_total} = {s.distinct_p322 / s.distinct_total:.5f}")
+        print(f"ratio pi6_pi4: {s.pi6_pi4}/{s.total} = {_quotient(s.pi6_pi4, s.total, 7)}")
+        print(f"ratio p322:    {s.p322}/{s.total} = {_quotient(s.p322, s.total, 7)}")
+        print(f"distinct pi6_pi4: {s.distinct_pi6_pi4}/{s.distinct_total} = {_quotient(s.distinct_pi6_pi4, s.distinct_total, 5)}")
+        print(f"distinct p322:    {s.distinct_p322}/{s.distinct_total} = {_quotient(s.distinct_p322, s.distinct_total, 5)}")
+    if not (args.out or args.histogram_out):
+        return 0
+    scoped = survey.band_filter(survey.enumerate_solutions(qs, m=args.m), args.band)
     if args.out:
         fp, close = _open_out(args.out)
         try:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, solve_integer
 from .ntheory import divisors_from_factors, factorize
@@ -78,30 +78,46 @@ def _record(sol: GeneratorSolution) -> SurveyRecord:
     )
 
 
-def _solutions_for_q(q: int, m: int) -> list[SurveyRecord]:
-    b = m * q
-    factors = factorize(b)
-    doubled = {p: 2 * e for p, e in factors.items()}
-    bsq = b * b
-    out = []
-    for x in divisors_from_factors(doubled):
-        if x < 2 or x >= b:
-            continue
-        y = bsq // x
-        if (y - x) % 2:
-            continue
-        out.append(_record(solve_integer(x, q, m)))
-    return out
-
-
-def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyRecord]:
-    """All solutions for the given scale generators, ordered by (Q, x)."""
+def q_set(q_values: Iterable[int], m: int = 12) -> list[int]:
+    """The scale generators sorted and deduplicated; ValueError on bad input."""
     qs = sorted(set(q_values))
     if not qs:
         raise ValueError("empty Q set")
     if m < 1 or qs[0] < 1:
         raise ValueError(f"M and Q must be >= 1, got M={m} and Q={qs[0]}")
-    return [rec for q in qs for rec in _solutions_for_q(q, m)]
+    return qs
+
+
+def _solutions(qs: Iterable[int], m: int) -> Iterator[tuple[int, int, int]]:
+    """(q, x, y) for every solution over the checked scale generators, in (Q, x) order."""
+    for q in qs:
+        b = m * q
+        bsq = b * b
+        for x in divisors_from_factors({p: 2 * e for p, e in factorize(b).items()}):
+            if x >= b:
+                break  # divisors ascend
+            y = bsq // x
+            if x >= 2 and not (y - x) % 2:
+                yield q, x, y
+
+
+def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyRecord]:
+    """All solutions for the given scale generators, ordered by (Q, x)."""
+    return [_record(solve_integer(x, q, m)) for q, x, _ in _solutions(q_set(q_values, m), m)]
+
+
+def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
+    """stats(enumerate_solutions(q_values, m)), counted without building records."""
+    qs = q_set(q_values, m)
+
+    def sides():
+        for q, x, y in _solutions(qs, m):
+            a, b, d = (y - x) // 2, m * q, (y + x) // 2
+            if a * a + b * b != d * d:
+                raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
+            yield a, b
+
+    return _tally(sides())
 
 
 def band_filter(records: Iterable[SurveyRecord], band: str = BAND_FULL) -> list[SurveyRecord]:
@@ -115,23 +131,32 @@ def band_filter(records: Iterable[SurveyRecord], band: str = BAND_FULL) -> list[
 
 
 def distinct_angles(records: Iterable[SurveyRecord]) -> int:
-    return len({r.angle for r in records})
+    return stats(records).distinct_total
 
 
-def stats(records: Sequence[SurveyRecord]) -> SurveyStats:
+def _tally(sides: Iterable[tuple[int, int]]) -> SurveyStats:
+    """Counts and distinct reduced angles of the (a, b) leg pairs, overall and per band."""
     all_angles, band_angles, p322_angles = set(), set(), set()
-    band = p322 = 0
-    for r in records:
-        all_angles.add(r.angle)
-        if r.in_pi6_pi4:
+    total = band = p322 = 0
+    for a, b in sides:
+        g = gcd(a, b)
+        angle = (a // g, b // g)
+        total += 1
+        all_angles.add(angle)
+        if _in_pi6_pi4(a, b):
             band += 1
-            band_angles.add(r.angle)
-        if r.in_p322:
-            p322 += 1
-            p322_angles.add(r.angle)
+            band_angles.add(angle)
+            if _in_p322(a, b):  # the tablet band lies inside (pi/6, pi/4)
+                p322 += 1
+                p322_angles.add(angle)
     return SurveyStats(
-        len(records), band, p322, len(all_angles), len(band_angles), len(p322_angles)
+        total, band, p322, len(all_angles), len(band_angles), len(p322_angles)
     )
+
+
+def stats(records: Iterable[SurveyRecord]) -> SurveyStats:
+    """Survey counts over built records; the bands depend only on the reduced angle."""
+    return _tally(r.angle for r in records)
 
 
 def p322_selection(records: Iterable[SurveyRecord]) -> list[Triple]:
@@ -185,8 +210,8 @@ class Histogram:
 
 def histogram(records: Iterable[SurveyRecord], bin_width_deg: float = 1.0) -> Histogram:
     """Counts of records by angle over contiguous [low, high) bins spanning (0, 90)."""
-    if bin_width_deg <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width_deg}")
+    if not (bin_width_deg > 0 and math.isfinite(bin_width_deg)):
+        raise ValueError(f"bin width must be positive and finite, got {bin_width_deg}")
     nbins = math.ceil(90.0 / bin_width_deg)
     counts = [0] * nbins
     for r in records:

@@ -98,6 +98,40 @@ def test_survey_report_lines(capsys):
     assert "15/193 = 0.07772" in out
 
 
+P322_REPORT = [
+    "614 52 51 / 193 16 15",
+    "ratio pi6_pi4: 52/614 = 0.0846906",
+    "ratio p322:    51/614 = 0.0830619",
+    "distinct pi6_pi4: 16/193 = 0.08290",
+    "distinct p322:    15/193 = 0.07772",
+]
+
+
+def test_survey_report_builds_no_records(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("--report built records")
+
+    monkeypatch.setattr("maksarum.survey.enumerate_solutions", refuse)
+    code, out = run(capsys, "survey", "--Q-set", "p322", "--report")
+    assert code == 0
+    assert out.splitlines() == P322_REPORT
+    assert main(["survey", "--Q", "0"]) == 2
+    assert main(["survey", "--M", "0", "--Q", "3"]) == 2
+
+
+@pytest.mark.parametrize("m", ["1", "2"])
+def test_survey_report_with_no_solutions(capsys, m):
+    code, out = run(capsys, "survey", "--M", m, "--Q", "1", "--report")
+    assert code == 0
+    assert out.splitlines() == [
+        "0 0 0 / 0 0 0",
+        "ratio pi6_pi4: 0/0 = n/a",
+        "ratio p322:    0/0 = n/a",
+        "distinct pi6_pi4: 0/0 = n/a",
+        "distinct p322:    0/0 = n/a",
+    ]
+
+
 def test_survey_csv_and_histogram(tmp_path, capsys):
     csv_path = tmp_path / "records.csv"
     hist_path = tmp_path / "hist.csv"
@@ -177,6 +211,8 @@ def test_usage_errors():
     ["survey", "--M", "0", "--Q", "3"],
     ["survey", "--Q-range", "1:5", "--bin-width", "0", "--histogram-out", "F"],
     ["survey", "--Q-range", "1-5", "--report"],
+    ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "inf"],
+    ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "nan"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

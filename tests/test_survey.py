@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+import sympy
 
 from maksarum.factor import Triple
 from maksarum.survey import (
     BAND_P322,
     BAND_PI6_PI4,
+    SurveyStats,
     band_filter,
+    count_stats,
     distinct_angles,
     enumerate_solutions,
     histogram,
@@ -134,8 +137,9 @@ def test_histogram():
     assert min(lows) >= 31.0 and max(lows) < 45.0
     assert len(hist.bins) == 90
     assert hist.bins[0][:2] == (0.0, 1.0)
-    with pytest.raises(ValueError):
-        histogram(recs, 0)
+    for width in (0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            histogram(recs, width)
 
 
 def test_histogram_csv():
@@ -162,12 +166,13 @@ def test_records_csv_schema_and_irregular_q():
 
 
 def test_enumerate_rejects_bad_input():
-    with pytest.raises(ValueError):
-        enumerate_solutions([])
-    with pytest.raises(ValueError):
-        enumerate_solutions([0, 5])
-    with pytest.raises(ValueError):
-        enumerate_solutions([3], m=0)
+    for entry in (enumerate_solutions, count_stats):
+        with pytest.raises(ValueError):
+            entry([])
+        with pytest.raises(ValueError):
+            entry([0, 5])
+        with pytest.raises(ValueError):
+            entry([3], m=0)
 
 
 def test_enumerate_other_bundling_factors():
@@ -187,3 +192,30 @@ def test_distinct_angle_subadditivity():
     both = enumerate_solutions([5, 6])
     assert distinct_angles(both) <= distinct_angles(a) + distinct_angles(b)
     assert stats(both).total == stats(a).total + stats(b).total
+
+
+@pytest.fixture(scope="module")
+def counts_to_5000():
+    return count_stats(range(1, 5001))
+
+
+def test_count_stats_to_5000(counts_to_5000):
+    assert counts_to_5000 == SurveyStats(304219, 16996, 15564, 53651, 1683, 1460)
+
+
+def test_count_stats_total_is_the_divisor_count_sum(counts_to_5000):
+    # x = 2x', y = 2y' with x'y' = (6Q)**2 and x' < 6Q: (tau(36 Q**2) - 1) / 2 per Q
+    assert counts_to_5000.total == sum(
+        (sympy.divisor_count(36 * q * q) - 1) // 2 for q in range(1, 5001)
+    )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 12, 60])
+@pytest.mark.parametrize("qs", [[1], range(1, 41), range(281, 301), [7, 225, 288, 1125]])
+def test_count_stats_matches_the_records(m, qs):
+    assert count_stats(qs, m) == stats(enumerate_solutions(qs, m))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_count_stats_with_no_solutions(m):
+    assert count_stats([1], m) == SurveyStats(0, 0, 0, 0, 0, 0)
