@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence, TextIO
 
@@ -38,10 +39,14 @@ def _emit(header: list[str], rows: list[list[str]], fmt: str, fp: TextIO) -> Non
             fp.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """The file at path, or stdout for None and "-"; a file is closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fp:
+            yield fp
 
 
 def _ratio_15g(num: int, den: int) -> str:
@@ -51,9 +56,8 @@ def _ratio_15g(num: int, den: int) -> str:
 # --- reconstruct ------------------------------------------------------------
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    fp, close = _open_out(args.out)
     reports = tablet.reconstruct_all()
-    try:
+    with _output(args.out) as fp:
         if args.format in ("csv", "tsv"):
             text = tablet.to_tsv()
             fp.write(text.replace("\t", ",") if args.format == "csv" else text)
@@ -76,9 +80,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
                 mark = "reproduced" if model.reproduced else "NOT reproduced"
                 fp.write(f"row {model.index:2d} error [{model.kind}] {mark}: {model.description}\n")
         return 0 if all(r.ok for r in reports) else 1
-    finally:
-        if close:
-            fp.close()
 
 
 # --- generate ---------------------------------------------------------------
@@ -148,12 +149,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             hi = parse_number(args.xmax).value if args.xmax is not None else Fraction(args.m)
             x_range = (lo, hi)
         header, rows = _bounded_rows(args.bounded, args.m, x_range, args.decimal)
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         _emit(header, rows, args.format, fp)
-    finally:
-        if close:
-            fp.close()
     return 0
 
 
@@ -187,21 +184,14 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if not (args.out or args.histogram_out):
         return 0
     scoped = survey.band_filter(survey.enumerate_solutions(qs, m=args.m), args.band)
+    # the histogram checks the bin width, so build it before any file is opened
+    hist = survey.histogram(scoped, args.bin_width) if args.histogram_out else None
     if args.out:
-        fp, close = _open_out(args.out)
-        try:
+        with _output(args.out) as fp:
             survey.write_records_csv(scoped, fp)
-        finally:
-            if close:
-                fp.close()
-    if args.histogram_out:
-        hist = survey.histogram(scoped, args.bin_width)
-        fp, close = _open_out(args.histogram_out)
-        try:
+    if hist is not None:
+        with _output(args.histogram_out) as fp:
             hist.write_csv(fp)
-        finally:
-            if close:
-                fp.close()
     return 0
 
 
@@ -225,12 +215,8 @@ def cmd_partitions(args: argparse.Namespace) -> int:
                 [str(place) if place is not None else "none"]
                 + [to_string(v) for v in (pair.x, pair.y, a_side, d_side)]
             )
-    fp, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fp:
         _emit(header, rows, args.format, fp)
-    finally:
-        if close:
-            fp.close()
     return 0
 
 

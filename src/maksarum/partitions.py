@@ -11,8 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import survey
 from .factor import Triple, derive_q, normalized_sides
-from .ntheory import divisors_from_factors, factorize
+# not called here; kept importable because perfbench/child.py wraps them by name
+from .ntheory import divisors_from_factors, factorize  # noqa: F401
 from .sexagesimal import IrregularError, Sexagesimal, parse, regular_power
 
 
@@ -105,33 +107,29 @@ def enumerate_bounded(
 
     A pair qualifies when X, Y and the derived table sides A = (Y-X)/2,
     D = (Y+X)/2 all fit in max_frac_digits fractional digits; equivalently
-    the scaled integers X*60**k and Y*60**k divide m**2 * 60**(2k) and share
-    parity.  Only the a < b half (0 < theta < pi/4) is enumerated: X runs
+    (X*60**k, Y*60**k) is an integer solution of the survey scheme at
+    Q = 60**k.  Only the a < b half (0 < theta < pi/4) is enumerated: X runs
     over (m*(sqrt(2)-1), m).  An explicit x_range narrows X further, bounds
     inclusive.  The enumeration is complete: for m = 12 at three digits it
     gives 59 pairs, of which the historical 51-row table omits eight (see
     tests/test_acceptance.py::test_c04b_bounded_table_row_count_as_stated).
     """
+    if m < 1:
+        raise ValueError(f"M must be >= 1, got {m}")
     if max_frac_digits < 0:
         raise ValueError(f"max_frac_digits must be >= 0, got {max_frac_digits}")
     scale = 60**max_frac_digits
-    total = m * m * scale * scale
-    factors = factorize(total)
     lo = hi = None
     if x_range is not None:
         lo, hi = (Fraction(x_range[0]), Fraction(x_range[1]))
     out = []
-    for xi in divisors_from_factors(factors):
-        yi = total // xi
-        if xi >= yi or (yi - xi) % 2:
+    for _, xi, yi in survey._solutions([scale], m):
+        if yi - xi >= 2 * m * scale:  # keep theta < pi/4, i.e. A < m
             continue
         x = Fraction(xi, scale)
-        y = Fraction(yi, scale)
-        if y - x >= 2 * m:  # keep theta < pi/4, i.e. A < m
-            continue
         if lo is not None and not (lo <= x <= hi):
             continue
-        out.append(GeneratorPair(x, y, m))
+        out.append(GeneratorPair(x, Fraction(yi, scale), m))
     return out
 
 

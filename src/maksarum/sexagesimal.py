@@ -257,7 +257,7 @@ class PlaceValue(_Exact):
     The mantissa carries no trailing zero digit (it is not divisible by 60)
     so two PlaceValues are equal exactly when their rational values are.
     Mantissa-only comparison -- equality up to a power of 60, the tablet
-    scribes' working notion -- is ``same_mantissa``.
+    scribes' working notion -- is ``place_value_equal``.
     """
 
     __slots__ = ("_mantissa", "_shift")
@@ -295,9 +295,6 @@ class PlaceValue(_Exact):
     @property
     def value(self) -> Fraction:
         return self._mantissa.value * Fraction(BASE) ** self._shift
-
-    def same_mantissa(self, other: "PlaceValue | Sexagesimal | int | Fraction") -> bool:
-        return place_value_equal(self, other)
 
     def __str__(self) -> str:
         return to_string(self)

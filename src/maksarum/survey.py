@@ -9,6 +9,7 @@ histogram binning and display columns.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -212,6 +213,8 @@ def histogram(records: Iterable[SurveyRecord], bin_width_deg: float = 1.0) -> Hi
     """Counts of records by angle over contiguous [low, high) bins spanning (0, 90)."""
     if not (bin_width_deg > 0 and math.isfinite(bin_width_deg)):
         raise ValueError(f"bin width must be positive and finite, got {bin_width_deg}")
+    if 90.0 / bin_width_deg > sys.maxsize:  # no list that long can exist
+        raise ValueError(f"bin width {bin_width_deg} gives too many bins")
     nbins = math.ceil(90.0 / bin_width_deg)
     counts = [0] * nbins
     for r in records:

@@ -213,6 +213,10 @@ def test_usage_errors():
     ["survey", "--Q-range", "1-5", "--report"],
     ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "inf"],
     ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "nan"],
+    ["generate", "--bounded", "3", "--M", "-12"],
+    ["generate", "--bounded", "3", "--M", "0"],
+    ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "1e-300"],
+    ["survey", "--Q", "5", "--out", "A", "--histogram-out", "F", "--bin-width", "0"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -220,6 +224,7 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("maksarum: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # bad input writes no output file
 
 
 def test_output_is_deterministic(capsys):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from maksarum.factor import Triple
@@ -153,6 +154,25 @@ def test_bounded_pairs_are_the_integer_scheme_at_scale():
         if r.triple.a < r.triple.b  # the bounded table keeps theta < pi/4 only
     ]
     assert scaled_x == solutions
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [1, 3, 5, 12, 20, 60])
+def test_enumerate_bounded_matches_sympy_divisor_scan(m, k):
+    # oracle: complementary divisors xi < yi of m**2 * 60**(2k), equal parity, A < m
+    scale = 60**k
+    total = m * m * scale * scale
+    expected = [
+        (Fraction(xi, scale), Fraction(total // xi, scale))
+        for xi in sympy.divisors(total)
+        if xi * xi < total
+        and (total // xi - xi) % 2 == 0
+        and total // xi - xi < 2 * m * scale
+    ]
+    assert [(p.x, p.y) for p in enumerate_bounded(m, k)] == expected
+    lo, hi = Fraction(m, 2), Fraction(3 * m, 4)
+    window = [(x, y) for x, y in expected if lo <= x <= hi]
+    assert [(p.x, p.y) for p in enumerate_bounded(m, k, (lo, hi))] == window
 
 
 def test_enumerate_bounded_four_digits_contains_giza():
