@@ -200,12 +200,14 @@ def cmd_survey(args: argparse.Namespace) -> int:
 def cmd_partitions(args: argparse.Namespace) -> int:
     if args.standard or args.scaled:
         header = ["n", "nbar"] if args.standard else ["X", "Y"]
+        # n * nbar = 60, so (n * M/12) * (nbar * M/5) = M**2
+        u, v = Fraction(args.m, 12), Fraction(args.m, 5)
         rows = []
         for pair in partitions.standard_table():
             if args.standard:
                 rows.append([to_string(pair.n), to_string(pair.nbar)])
             else:
-                scaled = partitions.scale_to_partition(pair, Fraction(1), Fraction(12, 5), args.m)
+                scaled = partitions.scale_to_partition(pair, u, v, args.m)
                 rows.append([to_string(scaled.x), to_string(scaled.y)])
     else:
         header = ["place", "X", "Y", "A", "D"]

@@ -94,14 +94,6 @@ def fourth_column(t: Triple, variant: str = SHORT) -> FourthColumn:
     return FourthColumn(num * 60**n // den, n, variant)
 
 
-def try_fourth_column(t: Triple, variant: str = SHORT) -> FourthColumn | None:
-    """fourth_column, or None when the ratio has no finite base-60 form."""
-    try:
-        return fourth_column(t, variant)
-    except IrregularError:
-        return None
-
-
 @dataclass(frozen=True, slots=True)
 class GeneratorSolution:
     """One integer solution: generator pair (x, y), scale Q, bundling factor M."""
@@ -134,7 +126,11 @@ def solve_integer(x: int, q: int, m: int = 12) -> GeneratorSolution:
     a = (y - x) // 2
     d = (y + x) // 2
     t = Triple(a, b, d)
-    return GeneratorSolution(x, y, q, m, t, try_fourth_column(t))
+    try:
+        fourth = fourth_column(t)
+    except IrregularError:  # irregular Q: the ratio has no finite base-60 form
+        fourth = None
+    return GeneratorSolution(x, y, q, m, t, fourth)
 
 
 def normalized_sides(x_gen: Fraction, m: int = 12) -> tuple[Fraction, Fraction]:
@@ -168,22 +164,6 @@ def derive_q(a_side: Fraction, d_side: Fraction, m: int = 12) -> tuple[Fraction,
     ai, bi, di = int(a_side * scale), m * scale, int(d_side * scale)
     g = gcd(gcd(ai, bi), di)
     return Fraction(scale, g), Triple(ai // g, bi // g, di // g)
-
-
-def angle_key(t: Triple) -> tuple[int, int]:
-    """Reduced (a, b) pair; equal keys mean similar triangles (equal angles)."""
-    g = gcd(t.a, t.b)
-    return (t.a // g, t.b // g)
-
-
-def angle_order(t1: Triple, t2: Triple) -> int:
-    """-1, 0 or 1 as t1's angle arctan(a/b) is below, at or above t2's.
-
-    Exact cross-multiplication; no floating point.
-    """
-    lhs = t1.a * t2.b
-    rhs = t2.a * t1.b
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def angle_fraction(t: Triple) -> Fraction:

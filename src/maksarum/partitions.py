@@ -57,12 +57,11 @@ class GeneratorPair:
 
 
 def scale_to_partition(pair: ReciprocalPair, u: Fraction, v: Fraction, m: int = 12) -> GeneratorPair:
-    """Rescale a reciprocal pair (n, nbar) into the partition (n*u, nbar*v)."""
-    x = pair.n.value * u
-    y = pair.nbar.value * v
-    if x * y != m * m:
-        raise ValueError(f"contract violation: scaled product {x * y} != {m}**2")
-    return GeneratorPair(x, y, m)
+    """Rescale a reciprocal pair (n, nbar) into the partition (n*u, nbar*v).
+
+    GeneratorPair raises ValueError unless the product is m**2.
+    """
+    return GeneratorPair(pair.n.value * u, pair.nbar.value * v, m)
 
 
 def k_star(k: Fraction, g: GeneratorPair) -> GeneratorPair:

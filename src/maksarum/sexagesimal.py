@@ -40,10 +40,6 @@ class IrregularError(SexagesimalError):
     """A value has no finite base-60 representation (prime factor not in 2,3,5)."""
 
 
-class NotASquareError(SexagesimalError):
-    """isqrt() argument is not a perfect square."""
-
-
 def is_regular(n: int) -> bool:
     """True iff n >= 1 factors entirely into 2, 3 and 5.
 
@@ -70,16 +66,6 @@ def regular_power(den: int) -> int:
         den //= g
         k += 1
     return k
-
-
-def isqrt(n: int) -> int:
-    """Exact integer square root; NotASquareError when n is not a perfect square."""
-    if n < 0:
-        raise ValueError(f"isqrt expects n >= 0, got {n}")
-    r = math.isqrt(n)
-    if r * r != n:
-        raise NotASquareError(f"{n} is not a perfect square")
-    return r
 
 
 class _Exact:
@@ -147,10 +133,6 @@ class Sexagesimal(_Exact):
             frac_len = 0
         self._scaled = scaled
         self._frac_len = frac_len
-
-    @classmethod
-    def zero(cls) -> "Sexagesimal":
-        return cls(0, 0)
 
     @classmethod
     def from_int(cls, n: int) -> "Sexagesimal":
@@ -221,8 +203,10 @@ class Sexagesimal(_Exact):
     def digits(self) -> list[int]:
         return self.int_digits + self.frac_digits
 
-    def __add__(self, other: "Sexagesimal | int") -> "Sexagesimal":
+    def __add__(self, other: "Numeral | int | Fraction") -> "Sexagesimal":
         other = _coerce(other)
+        if other is None:
+            return NotImplemented
         f = max(self._frac_len, other._frac_len)
         a = self._scaled * BASE ** (f - self._frac_len)
         b = other._scaled * BASE ** (f - other._frac_len)
@@ -230,8 +214,10 @@ class Sexagesimal(_Exact):
 
     __radd__ = __add__
 
-    def __mul__(self, other: "Sexagesimal | int") -> "Sexagesimal":
+    def __mul__(self, other: "Numeral | int | Fraction") -> "Sexagesimal":
         other = _coerce(other)
+        if other is None:
+            return NotImplemented
         return Sexagesimal(self._scaled * other._scaled, self._frac_len + other._frac_len)
 
     __rmul__ = __mul__
@@ -243,12 +229,15 @@ class Sexagesimal(_Exact):
         return f"Sexagesimal({self._scaled}, {self._frac_len})"
 
 
-def _coerce(v: "Sexagesimal | int") -> Sexagesimal:
+def _coerce(v: object) -> Sexagesimal | None:
+    """v as a Sexagesimal; None for any type the comparisons also reject.
+
+    A Fraction with no finite base-60 form (1/7) raises IrregularError.
+    """
     if isinstance(v, Sexagesimal):
         return v
-    if isinstance(v, int):
-        return Sexagesimal.from_int(v)
-    raise TypeError(f"cannot coerce {type(v).__name__} to Sexagesimal")
+    value = _value_of(v)
+    return None if value is None else Sexagesimal.from_fraction(value)
 
 
 class PlaceValue(_Exact):
@@ -262,8 +251,10 @@ class PlaceValue(_Exact):
 
     __slots__ = ("_mantissa", "_shift")
 
-    def __init__(self, mantissa: "Sexagesimal | int", shift: int = 0):
+    def __init__(self, mantissa: "Numeral | int | Fraction", shift: int = 0):
         m = _coerce(mantissa)
+        if m is None:
+            raise TypeError(f"cannot coerce {type(mantissa).__name__} to Sexagesimal")
         if m.frac_len != 0:
             shift -= m.frac_len
             m = Sexagesimal(m.scaled, 0)
@@ -414,8 +405,3 @@ def reciprocal(x: Sexagesimal) -> PlaceValue:
     if not is_regular(v.numerator):
         raise IrregularError(f"irregular number: {v.numerator} has no finite base-60 reciprocal")
     return PlaceValue.from_fraction(1 / v)
-
-
-def machine_epsilon() -> PlaceValue:
-    """The tablet's working accuracy: one unit in the eighth fractional place."""
-    return PlaceValue(1, -8)

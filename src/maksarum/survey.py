@@ -9,7 +9,6 @@ histogram binning and display columns.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -131,10 +130,6 @@ def band_filter(records: Iterable[SurveyRecord], band: str = BAND_FULL) -> list[
     raise ValueError(f"unknown band {band!r}")
 
 
-def distinct_angles(records: Iterable[SurveyRecord]) -> int:
-    return stats(records).distinct_total
-
-
 def _tally(sides: Iterable[tuple[int, int]]) -> SurveyStats:
     """Counts and distinct reduced angles of the (a, b) leg pairs, overall and per band."""
     all_angles, band_angles, p322_angles = set(), set(), set()
@@ -194,6 +189,10 @@ def theta_degrees(t: Triple) -> float:
     return math.degrees(math.atan2(t.a, t.b))
 
 
+# each bin costs one list slot, one (low, high, count) tuple and one CSV line
+_MAX_BINS = 10**6
+
+
 @dataclass(frozen=True, slots=True)
 class Histogram:
     bin_width: float
@@ -213,7 +212,7 @@ def histogram(records: Iterable[SurveyRecord], bin_width_deg: float = 1.0) -> Hi
     """Counts of records by angle over contiguous [low, high) bins spanning (0, 90)."""
     if not (bin_width_deg > 0 and math.isfinite(bin_width_deg)):
         raise ValueError(f"bin width must be positive and finite, got {bin_width_deg}")
-    if 90.0 / bin_width_deg > sys.maxsize:  # no list that long can exist
+    if 90.0 / bin_width_deg > _MAX_BINS:
         raise ValueError(f"bin width {bin_width_deg} gives too many bins")
     nbins = math.ceil(90.0 / bin_width_deg)
     counts = [0] * nbins

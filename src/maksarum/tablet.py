@@ -9,17 +9,9 @@ recompute everything from generators and check the stored data exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .factor import (
-    DIAGONAL,
-    FourthColumn,
-    Triple,
-    angle_fraction,
-    fourth_column,
-    solve_integer,
-)
+from .factor import DIAGONAL, FourthColumn, Triple, fourth_column, solve_integer
 from .ntheory import is_prime
 from .sexagesimal import Sexagesimal, parse, place_value_equal, to_string
 
@@ -214,11 +206,6 @@ def row15_repairs() -> list[tuple[str, Triple]]:
     ]
 
 
-def q_variants(row: TabletRow) -> tuple[int, int, Fraction]:
-    """Scale generators in the bundling-factor 12, 3 and 60 readings: (Q, 4Q, Q/5)."""
-    return (row.q, 4 * row.q, Fraction(row.q, 5))
-
-
 @dataclass(frozen=True, slots=True)
 class CongruenceLine:
     index: int
@@ -301,8 +288,3 @@ def to_tsv() -> str:
             f"\t{row.error_kind}\t{row.raw_a}\t{row.raw_d}"
         )
     return "\n".join(lines) + "\n"
-
-
-def rows_by_angle_desc() -> list[TabletRow]:
-    """Rows sorted by descending angle; equals tablet order 1..15."""
-    return sorted(_TABLE, key=lambda row: angle_fraction(row.triple), reverse=True)

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from maksarum.cli import main
+from maksarum.sexagesimal import parse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -168,6 +169,12 @@ def test_partitions_outputs(capsys):
     assert len(lines) == 17
     assert lines[1].startswith("1\t05\t28.~48\t11.~54\t16.~54")
     assert lines[-1].startswith("none\t06.~45\t21.~20")
+    for m in (3, 12, 60):
+        code, out = run(capsys, "partitions", "--scaled", "--M", str(m), "--format", "tsv")
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert len(rows) == 30
+        assert all(parse(x).value * parse(y).value == m * m for x, y in rows), m
 
 
 def test_pi_output(capsys):
@@ -216,6 +223,7 @@ def test_usage_errors():
     ["generate", "--bounded", "3", "--M", "-12"],
     ["generate", "--bounded", "3", "--M", "0"],
     ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "1e-300"],
+    ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "1e-9"],
     ["survey", "--Q", "5", "--out", "A", "--histogram-out", "F", "--bin-width", "0"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):

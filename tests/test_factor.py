@@ -9,14 +9,12 @@ from maksarum.factor import (
     ParityError,
     Triple,
     angle_fraction,
-    angle_key,
-    angle_order,
     derive_q,
     fourth_column,
     normalized_sides,
     solve_integer,
-    try_fourth_column,
 )
+from maksarum.sexagesimal import IrregularError
 
 
 def test_triple_validates():
@@ -135,7 +133,8 @@ def test_fourth_column_irregular_is_none():
     # Q = 7 makes the reduced ratio denominator contain 7^2
     sol = solve_integer(2, 7)
     assert sol.fourth is None
-    assert try_fourth_column(sol.triple) is None
+    with pytest.raises(IrregularError):
+        fourth_column(sol.triple)
     # but a factor-7 generator can still reduce to a regular ratio
     sol = solve_integer(14, 7)
     assert sol.fourth is not None
@@ -143,8 +142,8 @@ def test_fourth_column_irregular_is_none():
 
 
 def test_angle_order():
-    assert angle_order(Triple(119, 120, 169), Triple(3, 4, 5)) == 1
-    assert angle_order(Triple(3, 4, 5), Triple(119, 120, 169)) == -1
-    assert angle_order(Triple(119, 120, 169), Triple(238, 240, 338)) == 0
-    assert angle_key(Triple(238, 240, 338)) == (119, 120)
+    assert angle_fraction(Triple(119, 120, 169)) > angle_fraction(Triple(3, 4, 5))
+    assert angle_fraction(Triple(3, 4, 5)) < angle_fraction(Triple(119, 120, 169))
+    assert angle_fraction(Triple(119, 120, 169)) == angle_fraction(Triple(238, 240, 338))
+    assert angle_fraction(Triple(238, 240, 338)) == Fraction(119, 120)
     assert angle_fraction(Triple(45, 60, 75)) == Fraction(3, 4)

@@ -7,13 +7,10 @@ from hypothesis import given, strategies as st
 
 from maksarum.sexagesimal import (
     IrregularError,
-    NotASquareError,
     ParseError,
     PlaceValue,
     Sexagesimal,
     is_regular,
-    isqrt,
-    machine_epsilon,
     parse,
     place_value_equal,
     reciprocal,
@@ -69,7 +66,7 @@ def test_parse_error_names_position():
     [
         (Sexagesimal.from_int(169), "02~49", "02:49"),
         (Sexagesimal.from_fraction(Fraction(6, 5)), "01.~12", "01;12"),
-        (Sexagesimal.zero(), "00", "00"),
+        (Sexagesimal(0), "00", "00"),
         (Sexagesimal.from_fraction(Fraction(3, 4)), "00.~45", "00;45"),
     ],
 )
@@ -87,7 +84,7 @@ def test_add_mul_examples():
     assert parse("01.~12") * parse("50") == Sexagesimal.from_int(60)
     assert to_string(parse("01.~12") * parse("50")) == "01~00"
     x = parse("03~25.~12")
-    assert x + Sexagesimal.zero() == x
+    assert x + Sexagesimal(0) == x
     sq = parse("02~41") * parse("02~41")
     assert sq == 161 * 161 == 25921
     assert to_string(sq) == "07~12~01"
@@ -128,26 +125,7 @@ def test_reciprocal_errors():
     with pytest.raises(IrregularError, match="irregular"):
         reciprocal(Sexagesimal.from_int(7))
     with pytest.raises(ValueError):
-        reciprocal(Sexagesimal.zero())
-
-
-@pytest.mark.parametrize("n,root", [(25921, 161), (0, 0), (169, 13), (1, 1)])
-def test_isqrt(n, root):
-    assert isqrt(n) == root
-
-
-def test_isqrt_rejects_nonsquares():
-    for n in (2, 3, 168, 25920):
-        with pytest.raises(NotASquareError):
-            isqrt(n)
-
-
-def test_machine_epsilon():
-    eps = machine_epsilon()
-    assert eps == PlaceValue(1, -8)
-    assert eps.value == Fraction(1, 167961600000000)
-    assert eps.value * 60**8 == 1
-    assert abs(float(eps.value) - 5.95e-15) < 0.01e-15
+        reciprocal(Sexagesimal(0))
 
 
 def test_place_value_equality_semantics():
@@ -210,18 +188,47 @@ def test_ordering_examples():
 small_fractions = st.builds(
     lambda k, f: Fraction(k, 60**f), st.integers(min_value=0, max_value=120), st.integers(0, 1)
 )
-numerals = st.one_of(
-    small_fractions.map(Sexagesimal.from_fraction), small_fractions.map(PlaceValue.from_fraction)
-)
+sexagesimal_numerals = small_fractions.map(Sexagesimal.from_fraction)
+numerals = st.one_of(sexagesimal_numerals, small_fractions.map(PlaceValue.from_fraction))
 comparands = st.one_of(numerals, small_fractions, st.integers(min_value=0, max_value=120))
 COMPARISONS = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
 
 
+def _oracle(x):
+    return x.value if isinstance(x, (Sexagesimal, PlaceValue)) else Fraction(x)
+
+
 @given(numerals, comparands, st.sampled_from(COMPARISONS))
 def test_comparisons_match_fraction_oracle(a, b, op):
-    vb = b.value if isinstance(b, (Sexagesimal, PlaceValue)) else Fraction(b)
-    assert op(a, b) == op(a.value, vb)
-    assert op(b, a) == op(vb, a.value)
+    assert op(a, b) == op(a.value, _oracle(b))
+    assert op(b, a) == op(_oracle(b), a.value)
+
+
+# + and * are Sexagesimal's; PlaceValue takes part only as an operand
+@given(sexagesimal_numerals, comparands, st.sampled_from([operator.add, operator.mul]))
+def test_arithmetic_operands_match_fraction_oracle(a, b, op):
+    for result in (op(a, b), op(b, a)):
+        assert isinstance(result, Sexagesimal)
+        assert result.value == op(a.value, _oracle(b))
+
+
+def test_arithmetic_operand_examples():
+    half = Fraction(1, 2)
+    assert Sexagesimal(1) + half == half + Sexagesimal(1) == Sexagesimal(90, 1) == Fraction(3, 2)
+    assert Sexagesimal(2) * PlaceValue(1, -1) == Sexagesimal(2, 1)
+    assert PlaceValue(Fraction(1, 2)) == PlaceValue(30, -1)
+    for op in (operator.add, operator.mul):
+        with pytest.raises(IrregularError):
+            op(Sexagesimal(1), Fraction(1, 7))
+        with pytest.raises(IrregularError):
+            op(Fraction(1, 7), Sexagesimal(1))
+        for other in (1.5, "01"):
+            with pytest.raises(TypeError):
+                op(Sexagesimal(1), other)
+            with pytest.raises(TypeError):
+                op(other, Sexagesimal(1))
+    with pytest.raises(TypeError):
+        PlaceValue(1.5)
 
 
 def test_roundtrip_random_bulk():

@@ -1,9 +1,8 @@
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from maksarum.factor import Triple
+from maksarum.factor import Triple, angle_fraction
 from maksarum.sexagesimal import parse, place_value_equal
 from maksarum.tablet import (
     ERROR_NONE,
@@ -13,11 +12,9 @@ from maksarum.tablet import (
     explain_errors,
     p322_q_set,
     prime_report,
-    q_variants,
     reconstruct,
     reconstruct_all,
     row15_repairs,
-    rows_by_angle_desc,
     to_tsv,
 )
 
@@ -90,15 +87,6 @@ def test_row15_repairs():
     assert repairs["scale_60"] == Triple(1680, 2700, 3180) == corrected_table()[14].triple
 
 
-def test_q_variants():
-    rows = corrected_table()
-    assert q_variants(rows[0]) == (10, 40, Fraction(2))
-    assert q_variants(rows[1]) == (288, 1152, Fraction(288, 5))
-    for row in rows:
-        q, q3, q60 = q_variants(row)
-        assert q3 == 4 * q and q60 * 5 == q
-
-
 def test_congruence_report():
     rep = congruence_report()
     assert len(rep.lines) == 15
@@ -120,7 +108,8 @@ def test_prime_report():
 
 
 def test_rows_sort_to_tablet_order():
-    assert [r.index for r in rows_by_angle_desc()] == list(range(1, 16))
+    by_angle = sorted(corrected_table(), key=lambda r: angle_fraction(r.triple), reverse=True)
+    assert [r.index for r in by_angle] == list(range(1, 16))
 
 
 def test_p322_q_set():
