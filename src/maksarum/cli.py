@@ -69,7 +69,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             status = "PASS" if rep.ok else "FAIL"
             fp.write(
                 f"row {rep.index:2d} {status}  a={t.a} b={t.b} d={t.d} Q={row.q} "
-                f"fourth={f.coefficient}S-{f.shift}\n"
+                f"fourth={f}\n"
             )
             if not rep.ok:
                 for check in rep.checks:
@@ -98,9 +98,7 @@ def _qtable_fourth(sol, decimal: bool) -> str:
     if m is not None:
         atil = sol.triple.a * 60**m // sol.b
         return f"{atil * atil}S-{2 * m}"
-    if sol.fourth is not None:
-        return f"{sol.fourth.coefficient}S-{sol.fourth.shift}"
-    return ""
+    return "" if sol.fourth is None else str(sol.fourth)
 
 
 def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], list[list[str]]]:
@@ -174,6 +172,8 @@ def _quotient(num: int, den: int, digits: int) -> str:
 
 def cmd_survey(args: argparse.Namespace) -> int:
     qs = survey.q_set(_parse_q_selector(args), m=args.m)
+    if args.histogram_out:
+        survey.bin_count(args.bin_width)  # reject a bad width before any work or output
     if args.report:
         s = survey.count_stats(qs, m=args.m)
         print(f"{s.total} {s.pi6_pi4} {s.p322} / {s.distinct_total} {s.distinct_pi6_pi4} {s.distinct_p322}")
@@ -184,14 +184,12 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if not (args.out or args.histogram_out):
         return 0
     scoped = survey.band_filter(survey.enumerate_solutions(qs, m=args.m), args.band)
-    # the histogram checks the bin width, so build it before any file is opened
-    hist = survey.histogram(scoped, args.bin_width) if args.histogram_out else None
     if args.out:
         with _output(args.out) as fp:
             survey.write_records_csv(scoped, fp)
-    if hist is not None:
+    if args.histogram_out:
         with _output(args.histogram_out) as fp:
-            hist.write_csv(fp)
+            survey.histogram(scoped, args.bin_width).write_csv(fp)
     return 0
 
 
@@ -252,7 +250,7 @@ def cmd_giza(args: argparse.Namespace) -> int:
     print(f"X = {to_string(pair.x)}  Y = {to_string(pair.y)}")
     print(f"Q = {q} = {to_string(Sexagesimal(int(q)))}")
     print(f"triple: a={t.a} b={t.b} d={t.d}")
-    print(f"fourth = {f.coefficient}S-{f.shift}")
+    print(f"fourth = {f}")
     print(f"theta = {degrees(atan2(t.a, t.b)):.12f} deg")
     print(f"apothem-base angle = {degrees(atan2(t.b, t.a)):.14f} deg")
     return 0

@@ -3,8 +3,8 @@
 Sides (a, b, d) with a**2 + b**2 = d**2 are produced from a generator x
 dividing b**2 via y = b**2 / x, a = (y - x) / 2, d = (y + x) / 2, where
 b = M * Q for a bundling factor M (12 throughout the tablet work) and a
-per-row scale generator Q.  The ratio column a**2/b**2 (or d**2/b**2) is
-carried exactly as an integer coefficient times a power of 60.
+per-row scale generator Q.  The ratio column a**2/b**2 is carried exactly
+as an integer coefficient times a power of 60.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from fractions import Fraction
 from math import gcd
 
 from .sexagesimal import IrregularError, regular_power
-
-SHORT = "short"
-DIAGONAL = "diagonal"
 
 
 class GeneratorError(ValueError):
@@ -58,15 +55,13 @@ class Triple:
 
 @dataclass(frozen=True, slots=True)
 class FourthColumn:
-    """Exact ratio column value: coefficient * 60**-shift, shift minimal.
+    """Exact ratio column value a**2/b**2 = coefficient * 60**-shift, shift minimal.
 
-    variant "short" carries a**2/b**2, "diagonal" carries d**2/b**2; the two
-    differ by exactly 1 and share the same shift.
+    The diagonal reading d**2/b**2 is this plus 1, at the same shift.
     """
 
     coefficient: int
     shift: int
-    variant: str = SHORT
 
     @property
     def value(self) -> Fraction:
@@ -76,22 +71,20 @@ class FourthColumn:
         return f"{self.coefficient}S-{self.shift}"
 
 
-def fourth_column(t: Triple, variant: str = SHORT) -> FourthColumn:
-    """Minimal-shift exact representation of a**2/b**2 (or d**2/b**2).
+def fourth_column(t: Triple) -> FourthColumn:
+    """Minimal-shift exact representation of a**2/b**2.
 
     Raises IrregularError when the reduced denominator has a prime factor
     outside 2, 3, 5 (possible for irregular Q; the ratio then has no finite
     base-60 form).
     """
-    if variant not in (SHORT, DIAGONAL):
-        raise ValueError(f"unknown variant {variant!r}")
-    num = t.a * t.a if variant == SHORT else t.d * t.d
+    num = t.a * t.a
     den = t.b * t.b
     g = gcd(num, den)
     num //= g
     den //= g
     n = regular_power(den)
-    return FourthColumn(num * 60**n // den, n, variant)
+    return FourthColumn(num * 60**n // den, n)
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,6 +16,7 @@ from .factor import Triple, derive_q, normalized_sides
 # not called here; kept importable because perfbench/child.py wraps them by name
 from .ntheory import divisors_from_factors, factorize  # noqa: F401
 from .sexagesimal import IrregularError, Sexagesimal, parse, regular_power
+from .tablet import corrected_table
 
 
 class ReciprocalPair(NamedTuple):
@@ -140,8 +141,6 @@ def partition_table(m: int = 12) -> list[tuple[int | None, GeneratorPair, Fracti
     generators scale by m/12 (the factor-3 table uses X/4, the factor-60
     table 5X), keeping X * Y = m**2.
     """
-    from .tablet import corrected_table
-
     f = Fraction(m, 12)
     rows = []
     for row in corrected_table():

@@ -2,10 +2,10 @@
 
 A ``Sexagesimal`` is a nonnegative rational whose denominator is a power of
 60, stored as ``scaled / 60**frac_len`` with ``scaled`` a plain Python int.
-A ``PlaceValue`` is a normalized mantissa together with a signed power-of-60
-shift, mirroring the floating (relative) notation in which a numeral's scale
-is a display choice.  All arithmetic is exact; :class:`fractions.Fraction`
-serves as the reference rational type.
+A ``PlaceValue`` is the same value written in floating notation: a
+normalized mantissa together with a signed power-of-60 shift, the notation
+in which a numeral's scale is a display choice.  All arithmetic is exact;
+:class:`fractions.Fraction` serves as the reference rational type.
 
 Text forms accepted and emitted:
 
@@ -23,7 +23,6 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Union
 
 BASE = 60
 
@@ -68,55 +67,27 @@ def regular_power(den: int) -> int:
     return k
 
 
-class _Exact:
-    """Equality, ordering and hashing on the exact rational ``value``.
-
-    Operands may be Sexagesimal, PlaceValue, int or Fraction; any other type
-    gives NotImplemented, so ``==`` is False and ordering raises TypeError.
-    """
-
-    __slots__ = ()
-
-    value: Fraction
-
-    def _compare(self, other: object, op) -> bool:
+def _comparison(op):
+    """A rich comparison on exact values; NotImplemented for a type _value_of rejects."""
+    def compare(self, other: object) -> bool:
         v = _value_of(other)
         return NotImplemented if v is None else op(self.value, v)
-
-    def __eq__(self, other: object) -> bool:
-        return self._compare(other, operator.eq)
-
-    def __lt__(self, other: object) -> bool:
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other: object) -> bool:
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other: object) -> bool:
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other: object) -> bool:
-        return self._compare(other, operator.ge)
-
-    def __hash__(self) -> int:
-        return hash(self.value)
+    return compare
 
 
-def _value_of(x: object) -> Fraction | None:
-    """Exact value of a numeral, int or Fraction; None for any other type."""
-    if isinstance(x, _Exact):
-        return x.value
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return None
-
-
-class Sexagesimal(_Exact):
+class Sexagesimal:
     """Normalized nonnegative finite base-60 number.
 
     Invariants: every digit lies in [0, 59]; no trailing zero fractional
     digit (frac_len is minimal); canonical zero is the single digit 0 with
     frac_len 0.  Instances are immutable and hashable.
+
+    Equality, ordering and hashing are on the exact rational ``value``, and
+    ``+`` and ``*`` take the same operands: a Sexagesimal (PlaceValue
+    included), an int or a Fraction, on either side.  Any other type gives
+    NotImplemented, so ``==`` is False and ordering or arithmetic raises
+    TypeError; a Fraction with no finite base-60 form (1/7) raises
+    IrregularError in arithmetic.
     """
 
     __slots__ = ("_scaled", "_frac_len")
@@ -135,33 +106,36 @@ class Sexagesimal(_Exact):
         self._frac_len = frac_len
 
     @classmethod
-    def from_int(cls, n: int) -> "Sexagesimal":
-        return cls(n, 0)
+    def _of(cls, scaled: int, frac_len: int):
+        """An instance of cls worth scaled / 60**frac_len, whatever cls's constructor reads."""
+        self = object.__new__(cls)
+        Sexagesimal.__init__(self, scaled, frac_len)
+        return self
 
     @classmethod
-    def from_fraction(cls, value: Fraction) -> "Sexagesimal":
+    def from_fraction(cls, value: Fraction):
         """Exact conversion; IrregularError if the reduced denominator is not 60-smooth."""
         if value < 0:
             raise ValueError(f"sexagesimal values are nonnegative, got {value}")
         k = regular_power(value.denominator)
-        return cls(int(value * BASE**k), k)
+        return cls._of(int(value * BASE**k), k)
 
     @classmethod
-    def from_digits(cls, int_digits: list[int], frac_digits: list[int] = ()) -> "Sexagesimal":
+    def from_digits(cls, int_digits: list[int], frac_digits: list[int] = ()):
         scaled = 0
         for d in list(int_digits) + list(frac_digits):
             if not 0 <= d < BASE:
                 raise ValueError(f"digit {d} out of range [0, 59]")
             scaled = scaled * BASE + d
-        return cls(scaled, len(frac_digits))
+        return cls._of(scaled, len(frac_digits))
 
     @classmethod
-    def truncate(cls, value: Union[Fraction, "Sexagesimal"], frac_len: int) -> "Sexagesimal":
+    def truncate(cls, value: "Fraction | Sexagesimal", frac_len: int):
         """Truncate (never round up) to at most frac_len fractional digits."""
         fr = value.value if isinstance(value, Sexagesimal) else value
         if fr < 0:
             raise ValueError("cannot truncate a negative value")
-        return cls(int(fr * BASE**frac_len), frac_len)
+        return cls._of(int(fr * BASE**frac_len), frac_len)
 
     @property
     def scaled(self) -> int:
@@ -203,7 +177,16 @@ class Sexagesimal(_Exact):
     def digits(self) -> list[int]:
         return self.int_digits + self.frac_digits
 
-    def __add__(self, other: "Numeral | int | Fraction") -> "Sexagesimal":
+    __eq__ = _comparison(operator.eq)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __add__(self, other: "Sexagesimal | int | Fraction") -> "Sexagesimal":
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -214,7 +197,7 @@ class Sexagesimal(_Exact):
 
     __radd__ = __add__
 
-    def __mul__(self, other: "Numeral | int | Fraction") -> "Sexagesimal":
+    def __mul__(self, other: "Sexagesimal | int | Fraction") -> "Sexagesimal":
         other = _coerce(other)
         if other is None:
             return NotImplemented
@@ -229,6 +212,15 @@ class Sexagesimal(_Exact):
         return f"Sexagesimal({self._scaled}, {self._frac_len})"
 
 
+def _value_of(x: object) -> Fraction | None:
+    """Exact value of a Sexagesimal, int or Fraction; None for any other type."""
+    if isinstance(x, Sexagesimal):
+        return x.value
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return None
+
+
 def _coerce(v: object) -> Sexagesimal | None:
     """v as a Sexagesimal; None for any type the comparisons also reject.
 
@@ -240,64 +232,46 @@ def _coerce(v: object) -> Sexagesimal | None:
     return None if value is None else Sexagesimal.from_fraction(value)
 
 
-class PlaceValue(_Exact):
-    """A value in floating notation: normalized integer mantissa times 60**shift.
+class PlaceValue(Sexagesimal):
+    """A Sexagesimal written in floating notation: mantissa times 60**shift.
 
-    The mantissa carries no trailing zero digit (it is not divisible by 60)
-    so two PlaceValues are equal exactly when their rational values are.
-    Mantissa-only comparison -- equality up to a power of 60, the tablet
-    scribes' working notion -- is ``place_value_equal``.
+    Only construction and the text form differ from Sexagesimal: value,
+    comparisons, hashing, ``+`` and ``*`` are the same, so a PlaceValue
+    equals any numeral of the same rational value.  The mantissa carries no
+    trailing zero digit (it is not divisible by 60).  The text form is
+    ``<mantissa> S-n`` when the value has fractional digits and plain digits
+    otherwise.  Mantissa-only comparison -- equality up to a power of 60,
+    the tablet scribes' working notion -- is ``place_value_equal``.
     """
 
-    __slots__ = ("_mantissa", "_shift")
+    __slots__ = ()
 
-    def __init__(self, mantissa: "Numeral | int | Fraction", shift: int = 0):
+    def __init__(self, mantissa: "Sexagesimal | int | Fraction", shift: int = 0):
         m = _coerce(mantissa)
         if m is None:
             raise TypeError(f"cannot coerce {type(mantissa).__name__} to Sexagesimal")
-        if m.frac_len != 0:
-            shift -= m.frac_len
-            m = Sexagesimal(m.scaled, 0)
-        while not m.is_zero and m.scaled % BASE == 0:
-            m = Sexagesimal(m.scaled // BASE, 0)
-            shift += 1
-        if m.is_zero:
-            shift = 0
-        self._mantissa = m
-        self._shift = shift
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "PlaceValue":
-        if value < 0:
-            raise ValueError(f"place values are nonnegative, got {value}")
-        if value == 0:
-            return cls(0, 0)
-        k = regular_power(value.denominator)
-        return cls(Sexagesimal(int(value * BASE**k), 0), -k)
-
-    @property
-    def mantissa(self) -> Sexagesimal:
-        return self._mantissa
+        if shift >= 0:
+            super().__init__(m.scaled * BASE**shift, m.frac_len)
+        else:
+            super().__init__(m.scaled, m.frac_len - shift)
 
     @property
     def shift(self) -> int:
-        return self._shift
+        n, shift = self.scaled, -self.frac_len
+        while n and n % BASE == 0:  # only an integer value has trailing zero digits
+            n //= BASE
+            shift += 1
+        return shift
 
     @property
-    def value(self) -> Fraction:
-        return self._mantissa.value * Fraction(BASE) ** self._shift
-
-    def __str__(self) -> str:
-        return to_string(self)
+    def mantissa(self) -> Sexagesimal:
+        return Sexagesimal(self.scaled // BASE ** (self.shift + self.frac_len))
 
     def __repr__(self) -> str:
-        return f"PlaceValue({self._mantissa.scaled}, {self._shift})"
+        return f"PlaceValue({self.mantissa.scaled}, {self.shift})"
 
 
-Numeral = Union[Sexagesimal, PlaceValue]
-
-
-def place_value_equal(a: "Numeral | int | Fraction", b: "Numeral | int | Fraction") -> bool:
+def place_value_equal(a: "Sexagesimal | int | Fraction", b: "Sexagesimal | int | Fraction") -> bool:
     """True iff a and b agree up to a factor 60**k (identical normalized mantissas)."""
     va, vb = _value_of(a), _value_of(b)
     if va is None or vb is None:
@@ -320,21 +294,20 @@ _SUFFIX_RE = re.compile(r"^(?P<body>.*\S)\s+S-(?P<shift>\d+)$")
 _DECIMAL_RE = re.compile(r"^\d{3,}$")
 
 
-def parse(text: str) -> Numeral:
+def parse(text: str) -> Sexagesimal:
     """Parse a numeral in paper or colon style; an S-n suffix yields a PlaceValue."""
     s = text.strip()
     if not s:
         raise ParseError("empty input")
     m = _SUFFIX_RE.match(s)
     if m:
-        body, down = m.group("body"), int(m.group("shift"))
-        return PlaceValue.from_fraction(_parse_body(body).value * Fraction(1, BASE**down))
+        return PlaceValue(_parse_body(m.group("body")), -int(m.group("shift")))
     return _parse_body(s)
 
 
 def _parse_body(body: str) -> Sexagesimal:
     if _DECIMAL_RE.match(body):
-        return Sexagesimal.from_int(int(body))
+        return Sexagesimal(int(body))
     if ";" in body or ":" in body:
         return _parse_groups(body, radix=";", sep=":")
     # the paper-style radix is ".~" but a dot-space spelling also occurs
@@ -372,18 +345,16 @@ def _split_groups(part: str, sep: str, whole: str) -> list[int]:
 
 # --- formatting -------------------------------------------------------------
 
-def to_string(value: "Numeral | int | Fraction", style: str = "paper") -> str:
+def to_string(value: "Sexagesimal | int | Fraction", style: str = "paper") -> str:
     """Render a numeral; styles are "paper" (02~49, 01.~12) and "colon" (02:49, 01;12)."""
     if style not in ("paper", "colon"):
         raise ValueError(f"unknown style {style!r}")
     if isinstance(value, int):
-        value = Sexagesimal.from_int(value)
+        value = Sexagesimal(value)
     elif isinstance(value, Fraction):
         value = Sexagesimal.from_fraction(value)
-    if isinstance(value, PlaceValue):
-        if value.shift >= 0:
-            return to_string(Sexagesimal(value.mantissa.scaled * BASE**value.shift, 0), style)
-        return f"{to_string(value.mantissa, style)} S-{-value.shift}"
+    if isinstance(value, PlaceValue) and value.frac_len:
+        return f"{to_string(value.mantissa, style)} S-{value.frac_len}"
     sep, radix = ("~", ".~") if style == "paper" else (":", ";")
     ints = sep.join(f"{d:02d}" for d in value.int_digits)
     if value.frac_len == 0:
@@ -404,4 +375,4 @@ def reciprocal(x: Sexagesimal) -> PlaceValue:
     v = x.value
     if not is_regular(v.numerator):
         raise IrregularError(f"irregular number: {v.numerator} has no finite base-60 reciprocal")
-    return PlaceValue.from_fraction(1 / v)
+    return PlaceValue(1 / v)

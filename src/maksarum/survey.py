@@ -208,13 +208,18 @@ class Histogram:
             fp.write(f"{low:.6f},{high:.6f},{count}\n")
 
 
-def histogram(records: Iterable[SurveyRecord], bin_width_deg: float = 1.0) -> Histogram:
-    """Counts of records by angle over contiguous [low, high) bins spanning (0, 90)."""
+def bin_count(bin_width_deg: float) -> int:
+    """Number of histogram bins of this width over (0, 90); ValueError for an unusable width."""
     if not (bin_width_deg > 0 and math.isfinite(bin_width_deg)):
         raise ValueError(f"bin width must be positive and finite, got {bin_width_deg}")
     if 90.0 / bin_width_deg > _MAX_BINS:
         raise ValueError(f"bin width {bin_width_deg} gives too many bins")
-    nbins = math.ceil(90.0 / bin_width_deg)
+    return math.ceil(90.0 / bin_width_deg)
+
+
+def histogram(records: Iterable[SurveyRecord], bin_width_deg: float = 1.0) -> Histogram:
+    """Counts of records by angle over contiguous [low, high) bins spanning (0, 90)."""
+    nbins = bin_count(bin_width_deg)
     counts = [0] * nbins
     for r in records:
         theta = theta_degrees(r.triple)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .factor import DIAGONAL, FourthColumn, Triple, fourth_column, solve_integer
+from .factor import FourthColumn, Triple, fourth_column, solve_integer
 from .ntheory import is_prime
 from .sexagesimal import Sexagesimal, parse, place_value_equal, to_string
 
@@ -50,8 +50,9 @@ class TabletRow:
 
     @property
     def raw_fourth(self) -> str:
-        """Restored ratio column as carved: the diagonal reading with leading 01."""
-        return to_string(Sexagesimal(fourth_column(self.triple, DIAGONAL).coefficient))
+        """Restored ratio column as carved: the diagonal reading d**2/b**2 = a**2/b**2 + 1."""
+        f = self.fourth
+        return to_string(Sexagesimal(f.coefficient + 60**f.shift))
 
 
 # index, Q, (a, b, d), error kind, raw a, raw d, damaged ratio digits, damaged label

@@ -311,7 +311,7 @@ def test_c10d_reciprocal_contract_up_to_1e6():
     )
     ok = len(regulars) == sum(1 for n in range(1, 10**6 + 1) if is_regular(n))
     for n in regulars:
-        r = reciprocal(Sexagesimal.from_int(n))
+        r = reciprocal(Sexagesimal(n))
         ok &= place_value_equal(Fraction(n) * r.value, 1)
     assert _line("10d", ok, f"x * reciprocal(x) is a power of 60 for all {len(regulars)} "
                             "regular x <= 10^6")

@@ -120,6 +120,20 @@ def test_survey_report_builds_no_records(monkeypatch, capsys):
     assert main(["survey", "--M", "0", "--Q", "3"]) == 2
 
 
+def test_survey_bad_bin_width_builds_no_records(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("records built before the bin width was checked")
+
+    monkeypatch.setattr("maksarum.survey.enumerate_solutions", refuse)
+    monkeypatch.chdir(tmp_path)
+    argv = ["survey", "--Q-range", "1:3000", "--histogram-out", "h.csv", "--bin-width", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "maksarum: bin width must be positive and finite, got 0.0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("m", ["1", "2"])
 def test_survey_report_with_no_solutions(capsys, m):
     code, out = run(capsys, "survey", "--M", m, "--Q", "1", "--report")

@@ -14,7 +14,8 @@ from maksarum.factor import (
     normalized_sides,
     solve_integer,
 )
-from maksarum.sexagesimal import IrregularError
+from maksarum.sexagesimal import IrregularError, parse
+from maksarum.tablet import corrected_table
 
 
 def test_triple_validates():
@@ -115,10 +116,10 @@ def test_fourth_column_examples(triple, coeff, shift):
 
 
 def test_fourth_column_variants():
-    short = fourth_column(Triple(119, 120, 169), "short")
-    diag = fourth_column(Triple(119, 120, 169), "diagonal")
-    assert diag.value - short.value == 1
-    assert diag.shift == short.shift
+    # the carved diagonal reading d**2/b**2 is derived at the fourth column's shift
+    for row in corrected_table():
+        t = row.triple
+        assert parse(row.raw_fourth).value == Fraction(t.d, t.b) ** 2 * 60**row.fourth.shift
     assert Fraction(2025, 3600) == fourth_column(Triple(3, 4, 5)).value == Fraction(9, 16)
     assert float(fourth_column(Triple(3, 4, 5)).value) == 0.5625
 

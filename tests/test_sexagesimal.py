@@ -64,7 +64,7 @@ def test_parse_error_names_position():
 @pytest.mark.parametrize(
     "value,paper,colon",
     [
-        (Sexagesimal.from_int(169), "02~49", "02:49"),
+        (Sexagesimal(169), "02~49", "02:49"),
         (Sexagesimal.from_fraction(Fraction(6, 5)), "01.~12", "01;12"),
         (Sexagesimal(0), "00", "00"),
         (Sexagesimal.from_fraction(Fraction(3, 4)), "00.~45", "00;45"),
@@ -81,7 +81,7 @@ def test_format_place_value():
 
 
 def test_add_mul_examples():
-    assert parse("01.~12") * parse("50") == Sexagesimal.from_int(60)
+    assert parse("01.~12") * parse("50") == Sexagesimal(60)
     assert to_string(parse("01.~12") * parse("50")) == "01~00"
     x = parse("03~25.~12")
     assert x + Sexagesimal(0) == x
@@ -123,15 +123,15 @@ def test_reciprocal_table_pairs(x, mantissa):
 
 def test_reciprocal_errors():
     with pytest.raises(IrregularError, match="irregular"):
-        reciprocal(Sexagesimal.from_int(7))
+        reciprocal(Sexagesimal(7))
     with pytest.raises(ValueError):
         reciprocal(Sexagesimal(0))
 
 
 def test_place_value_equality_semantics():
     # exact values compare equal across representations
-    assert PlaceValue(45, 1) == Sexagesimal.from_int(2700)
-    assert PlaceValue(45, 1) != Sexagesimal.from_int(45)
+    assert PlaceValue(45, 1) == Sexagesimal(2700)
+    assert PlaceValue(45, 1) != Sexagesimal(45)
     # mantissa comparison ignores the power of 60
     assert place_value_equal(2700, 45)
     assert place_value_equal(Fraction(1, 300), 12)
@@ -204,8 +204,7 @@ def test_comparisons_match_fraction_oracle(a, b, op):
     assert op(b, a) == op(_oracle(b), a.value)
 
 
-# + and * are Sexagesimal's; PlaceValue takes part only as an operand
-@given(sexagesimal_numerals, comparands, st.sampled_from([operator.add, operator.mul]))
+@given(numerals, comparands, st.sampled_from([operator.add, operator.mul]))
 def test_arithmetic_operands_match_fraction_oracle(a, b, op):
     for result in (op(a, b), op(b, a)):
         assert isinstance(result, Sexagesimal)
@@ -217,6 +216,9 @@ def test_arithmetic_operand_examples():
     assert Sexagesimal(1) + half == half + Sexagesimal(1) == Sexagesimal(90, 1) == Fraction(3, 2)
     assert Sexagesimal(2) * PlaceValue(1, -1) == Sexagesimal(2, 1)
     assert PlaceValue(Fraction(1, 2)) == PlaceValue(30, -1)
+    assert PlaceValue(1, -1) + 1 == 1 + PlaceValue(1, -1) == Sexagesimal(61, 1) == Fraction(61, 60)
+    assert PlaceValue(1, -1) * PlaceValue(1, -1) == Fraction(1, 3600)
+    assert repr(PlaceValue(12, -1)) == "PlaceValue(12, -1)"
     for op in (operator.add, operator.mul):
         with pytest.raises(IrregularError):
             op(Sexagesimal(1), Fraction(1, 7))
