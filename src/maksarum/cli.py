@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from typing import Sequence, TextIO
 
@@ -183,13 +183,12 @@ def cmd_survey(args: argparse.Namespace) -> int:
         print(f"distinct p322:    {s.distinct_p322}/{s.distinct_total} = {_quotient(s.distinct_p322, s.distinct_total, 5)}")
     if not (args.out or args.histogram_out):
         return 0
-    scoped = survey.band_filter(survey.enumerate_solutions(qs, m=args.m), args.band)
-    if args.out:
-        with _output(args.out) as fp:
-            survey.write_records_csv(scoped, fp)
-    if args.histogram_out:
+    width = args.bin_width if args.histogram_out else None
+    with _output(args.out) if args.out else nullcontext() as fp:
+        hist = survey.export(qs, args.m, args.band, fp, width)
+    if hist is not None:  # after the CSV is closed: stdout gets the CSV first
         with _output(args.histogram_out) as fp:
-            survey.histogram(scoped, args.bin_width).write_csv(fp)
+            hist.write_csv(fp)
     return 0
 
 

@@ -93,6 +93,9 @@ class Sexagesimal:
     __slots__ = ("_scaled", "_frac_len")
 
     def __init__(self, scaled: int, frac_len: int = 0):
+        if not (isinstance(scaled, int) and isinstance(frac_len, int)):
+            types = f"{type(scaled).__name__} and {type(frac_len).__name__}"
+            raise TypeError(f"scaled and frac_len must be int, got {types}")
         if scaled < 0:
             raise ValueError(f"sexagesimal values are nonnegative, got {scaled}/60**{frac_len}")
         if frac_len < 0:
@@ -232,6 +235,14 @@ def _coerce(v: object) -> Sexagesimal | None:
     return None if value is None else Sexagesimal.from_fraction(value)
 
 
+def _numeral(v: object) -> Sexagesimal:
+    """_coerce(v), with TypeError for the types it rejects."""
+    s = _coerce(v)
+    if s is None:
+        raise TypeError(f"cannot coerce {type(v).__name__} to Sexagesimal")
+    return s
+
+
 class PlaceValue(Sexagesimal):
     """A Sexagesimal written in floating notation: mantissa times 60**shift.
 
@@ -247,9 +258,7 @@ class PlaceValue(Sexagesimal):
     __slots__ = ()
 
     def __init__(self, mantissa: "Sexagesimal | int | Fraction", shift: int = 0):
-        m = _coerce(mantissa)
-        if m is None:
-            raise TypeError(f"cannot coerce {type(mantissa).__name__} to Sexagesimal")
+        m = _numeral(mantissa)
         if shift >= 0:
             super().__init__(m.scaled * BASE**shift, m.frac_len)
         else:
@@ -349,10 +358,7 @@ def to_string(value: "Sexagesimal | int | Fraction", style: str = "paper") -> st
     """Render a numeral; styles are "paper" (02~49, 01.~12) and "colon" (02:49, 01;12)."""
     if style not in ("paper", "colon"):
         raise ValueError(f"unknown style {style!r}")
-    if isinstance(value, int):
-        value = Sexagesimal(value)
-    elif isinstance(value, Fraction):
-        value = Sexagesimal.from_fraction(value)
+    value = _numeral(value)
     if isinstance(value, PlaceValue) and value.frac_len:
         return f"{to_string(value.mantissa, style)} S-{value.frac_len}"
     sep, radix = ("~", ".~") if style == "paper" else (":", ";")

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, solve_integer
 from .ntheory import divisors_from_factors, factorize
+from .sexagesimal import BASE, IrregularError, regular_power
 
 BAND_FULL = "full"
 BAND_PI6_PI4 = "pi6_pi4"
@@ -65,6 +66,21 @@ def _in_p322(a: int, b: int) -> bool:
     return a * _P322_LOW[1] >= _P322_LOW[0] * b and a * _P322_HIGH[1] <= _P322_HIGH[0] * b
 
 
+# band name -> test on the legs (a, b); the tests are homogeneous, so reduced legs agree
+_BANDS = {
+    BAND_FULL: lambda a, b: True,
+    BAND_PI6_PI4: _in_pi6_pi4,
+    BAND_P322: _in_p322,
+}
+
+
+def _band_test(band: str):
+    try:
+        return _BANDS[band]
+    except KeyError:
+        raise ValueError(f"unknown band {band!r}") from None
+
+
 def _record(sol: GeneratorSolution) -> SurveyRecord:
     t = sol.triple
     g = gcd(t.a, t.b)  # divides d too, since d**2 = a**2 + b**2
@@ -101,6 +117,15 @@ def _solutions(qs: Iterable[int], m: int) -> Iterator[tuple[int, int, int]]:
                 yield q, x, y
 
 
+def _sides(qs: Iterable[int], m: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """(q, x, y, a, b, d) for every solution, each checked to be a right triangle."""
+    for q, x, y in _solutions(qs, m):
+        a, b, d = (y - x) // 2, m * q, (y + x) // 2
+        if a * a + b * b != d * d:
+            raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
+        yield q, x, y, a, b, d
+
+
 def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyRecord]:
     """All solutions for the given scale generators, ordered by (Q, x)."""
     return [_record(solve_integer(x, q, m)) for q, x, _ in _solutions(q_set(q_values, m), m)]
@@ -108,26 +133,12 @@ def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyReco
 
 def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
     """stats(enumerate_solutions(q_values, m)), counted without building records."""
-    qs = q_set(q_values, m)
-
-    def sides():
-        for q, x, y in _solutions(qs, m):
-            a, b, d = (y - x) // 2, m * q, (y + x) // 2
-            if a * a + b * b != d * d:
-                raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
-            yield a, b
-
-    return _tally(sides())
+    return _tally((a, b) for _, _, _, a, b, _ in _sides(q_set(q_values, m), m))
 
 
 def band_filter(records: Iterable[SurveyRecord], band: str = BAND_FULL) -> list[SurveyRecord]:
-    if band == BAND_FULL:
-        return list(records)
-    if band == BAND_PI6_PI4:
-        return [r for r in records if r.in_pi6_pi4]
-    if band == BAND_P322:
-        return [r for r in records if r.in_p322]
-    raise ValueError(f"unknown band {band!r}")
+    keep = _band_test(band)
+    return [r for r in records if keep(*r.angle)]
 
 
 def _tally(sides: Iterable[tuple[int, int]]) -> SurveyStats:
@@ -184,9 +195,9 @@ def rejected_p322_classes(records: Iterable[SurveyRecord]) -> list[Triple]:
     return [out[a] for a in sorted(out)]
 
 
-def theta_degrees(t: Triple) -> float:
-    """Display-only angle in degrees."""
-    return math.degrees(math.atan2(t.a, t.b))
+def theta_degrees(a: int, b: int) -> float:
+    """Display-only angle in degrees of the legs (a, b)."""
+    return math.degrees(math.atan2(a, b))
 
 
 # each bin costs one list slot, one (low, high, count) tuple and one CSV line
@@ -219,12 +230,15 @@ def bin_count(bin_width_deg: float) -> int:
 
 def histogram(records: Iterable[SurveyRecord], bin_width_deg: float = 1.0) -> Histogram:
     """Counts of records by angle over contiguous [low, high) bins spanning (0, 90)."""
+    return _histogram((theta_degrees(r.triple.a, r.triple.b) for r in records), bin_width_deg)
+
+
+def _histogram(thetas: Iterable[float], bin_width_deg: float) -> Histogram:
+    """Counts of the angles (degrees) over contiguous [low, high) bins spanning (0, 90)."""
     nbins = bin_count(bin_width_deg)
     counts = [0] * nbins
-    for r in records:
-        theta = theta_degrees(r.triple)
-        idx = min(int(theta // bin_width_deg), nbins - 1)
-        counts[idx] += 1
+    for theta in thetas:
+        counts[min(int(theta // bin_width_deg), nbins - 1)] += 1
     bins = tuple(
         (i * bin_width_deg, (i + 1) * bin_width_deg, counts[i]) for i in range(nbins)
     )
@@ -237,16 +251,54 @@ CSV_HEADER = (
 )
 
 
+def _csv_row(q, x, y, a, b, d, coeff, shift, pa, pb, pd, theta: float) -> str:
+    return f"{q},{x},{y},{a},{b},{d},{coeff},{shift},{pa},{pb},{pd},{theta:.12f}\n"
+
+
 def write_records_csv(records: Iterable[SurveyRecord], fp: TextIO) -> None:
     """Record export; the fourth-column cells are blank when the ratio has no
     finite base-60 form (irregular Q)."""
     fp.write(CSV_HEADER + "\n")
     for r in records:
-        s = r.solution
-        t = s.triple
-        p = r.primitive
+        s, t, p = r.solution, r.triple, r.primitive
         coeff, shift = (s.fourth.coefficient, s.fourth.shift) if s.fourth else ("", "")
-        fp.write(
-            f"{s.q},{s.x},{s.y},{t.a},{t.b},{t.d},{coeff},{shift},"
-            f"{p.a},{p.b},{p.d},{theta_degrees(t):.12f}\n"
-        )
+        theta = theta_degrees(t.a, t.b)
+        fp.write(_csv_row(s.q, s.x, s.y, t.a, t.b, t.d, coeff, shift, p.a, p.b, p.d, theta))
+
+
+def export(
+    q_values: Iterable[int],
+    m: int,
+    band: str,
+    fp: TextIO | None,
+    bin_width_deg: float | None,
+) -> Histogram | None:
+    """write_records_csv to fp (unless None) and return the histogram (unless the width
+    is None) of band_filter(enumerate_solutions(q_values, m), band), in one pass over
+    the divisor stream that builds no record, so memory does not grow with the Q range."""
+    qs = q_set(q_values, m)
+    keep = _band_test(band)
+
+    def thetas() -> Iterator[float]:
+        if fp is not None:
+            fp.write(CSV_HEADER + "\n")
+        for q, x, y, a, b, d in _sides(qs, m):
+            if not keep(a, b):
+                continue
+            theta = theta_degrees(a, b)
+            if fp is not None:
+                g = gcd(a, b)  # divides d too
+                pa, pb = a // g, b // g
+                try:  # (pa/pb)**2 is a**2/b**2 in lowest terms, so the minimal shift is the same
+                    shift = regular_power(pb * pb)
+                    coeff = pa * pa * BASE**shift // (pb * pb)
+                except IrregularError:
+                    coeff = shift = ""
+                fp.write(_csv_row(q, x, y, a, b, d, coeff, shift, pa, pb, d // g, theta))
+            yield theta
+
+    if bin_width_deg is None:
+        for _ in thetas():
+            pass
+        return None
+    return _histogram(thetas(), bin_width_deg)

@@ -10,13 +10,13 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
-from math import atan2, degrees, isqrt as math_isqrt
+from math import atan2, degrees, gcd, isqrt as math_isqrt
 from pathlib import Path
 
 import pytest
 
 from maksarum import circle, partitions, survey, tablet
-from maksarum.factor import Triple, fourth_column
+from maksarum.factor import DegenerateError, Triple, fourth_column, solve_integer
 from maksarum.sexagesimal import Sexagesimal, is_regular, parse, place_value_equal, reciprocal, to_string
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -326,4 +326,47 @@ def test_c10e_fourth_column_scale_invariance():
         for k in range(1, 61):
             ok &= fourth_column(t.scaled(k)) == base
     assert _line("10e", ok, "fourth column invariant under scaling by k in [1, 60]")
+    assert ok
+
+
+# 11 -- varying M finds all Pythagorean triples ---------------------------------------
+
+def test_c11_varying_m_finds_all_triples():
+    t0 = time.perf_counter()
+    # oracle 1: every (a, b, d) with b <= 120, from a square scan of the short side a
+    brute = []
+    for b in range(1, 121):
+        for a in range(1, (b * b - 1) // 2 + 1):
+            d = math_isqrt(a * a + b * b)
+            if d * d == a * a + b * b:
+                brute.append((a, b, d))
+    # generator x = d - a against every factorization b = M*Q
+    ok = True
+    degenerate = set()
+    for a, b, d in brute:
+        for m in (m for m in range(1, b + 1) if b % m == 0):
+            try:
+                ok &= solve_integer(d - a, b // m, m).triple.as_tuple() == (a, b, d)
+            except DegenerateError:
+                degenerate.add((a, b, d))
+    ok &= degenerate == {t for t in brute if t[2] - t[0] == 1}
+    # oracle 2: Euclid's form gives every primitive class (a0, b0), in both orientations
+    classes = set()
+    for u in range(2, 1201):  # L <= 200 needs b0 <= 2400, and b0 >= 2u - 1 either way
+        for v in range(1 + u % 2, u, 2):
+            if gcd(u, v) == 1:
+                for a0, b0 in ((u * u - v * v, 2 * u * v), (2 * u * v, u * u - v * v)):
+                    if b0 // gcd(b0, 12) <= 200:
+                        classes.add((a0, b0))
+    ok &= {(a, b) for a, b, _ in brute if gcd(a, b) == 1} <= classes
+    # each class with L = b0 / gcd(b0, 12) <= 200 appears in the M = 12 survey at Q = L
+    angles = {}
+    for r in survey.enumerate_solutions(range(1, 201)):
+        angles.setdefault(r.solution.q, set()).add(r.angle)
+    ok &= all((a0, b0) in angles[b0 // gcd(b0, 12)] for a0, b0 in classes)
+    elapsed = time.perf_counter() - t0
+    assert _line(11, ok, f"all {len(brute)} triples with b <= 120 solve for every M*Q = b "
+                         f"(d - a = 1 exactly the {len(degenerate)} degenerate); "
+                         f"all {len(classes)} primitive classes with L <= 200 appear at "
+                         f"M = 12, Q = L ({elapsed:.2f}s)")
     assert ok

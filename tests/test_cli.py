@@ -1,7 +1,9 @@
+import io
 from pathlib import Path
 
 import pytest
 
+from maksarum import survey
 from maksarum.cli import main
 from maksarum.sexagesimal import parse
 
@@ -132,6 +134,26 @@ def test_survey_bad_bin_width_builds_no_records(tmp_path, monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == "maksarum: bin width must be positive and finite, got 0.0\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_survey_export_builds_no_records(tmp_path, monkeypatch, capsys):
+    kept = survey.band_filter(survey.enumerate_solutions(range(1, 41)), survey.BAND_P322)
+    csv_text, hist_text = io.StringIO(), io.StringIO()
+    survey.write_records_csv(kept, csv_text)
+    survey.histogram(kept).write_csv(hist_text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the export built records")
+
+    monkeypatch.setattr("maksarum.survey.enumerate_solutions", refuse)
+    monkeypatch.chdir(tmp_path)
+    argv = ["survey", "--Q-range", "1:40", "--band", "p322"]
+    code, out = run(capsys, *argv, "--out", "A", "--histogram-out", "H")
+    assert (code, out) == (0, "")
+    assert (tmp_path / "A").read_text() == csv_text.getvalue()
+    assert (tmp_path / "H").read_text() == hist_text.getvalue()
+    code, out = run(capsys, *argv, "--out", "-", "--histogram-out", "-")
+    assert (code, out) == (0, csv_text.getvalue() + hist_text.getvalue())
 
 
 @pytest.mark.parametrize("m", ["1", "2"])

@@ -231,6 +231,12 @@ def test_arithmetic_operand_examples():
                 op(other, Sexagesimal(1))
     with pytest.raises(TypeError):
         PlaceValue(1.5)
+    for args in ((1.5,), (Fraction(3, 2),), (1, 1.0)):
+        with pytest.raises(TypeError):
+            Sexagesimal(*args)
+    for other in ("01", 1.5):
+        with pytest.raises(TypeError):
+            to_string(other)
 
 
 def test_roundtrip_random_bulk():

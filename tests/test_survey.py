@@ -7,12 +7,15 @@ import sympy
 
 from maksarum.factor import Triple
 from maksarum.survey import (
+    BAND_FULL,
     BAND_P322,
     BAND_PI6_PI4,
+    CSV_HEADER,
     SurveyStats,
     band_filter,
     count_stats,
     enumerate_solutions,
+    export,
     histogram,
     p322_selection,
     primitive_reduce,
@@ -71,6 +74,10 @@ def test_band_filters():
     assert by_x[50].in_pi6_pi4 and by_x[50].in_p322  # (119, 120, 169)
     assert not by_x[2].in_pi6_pi4  # (3599, 120, 3601) has a > b
     assert len(band_filter(recs, BAND_PI6_PI4)) >= len(band_filter(recs, BAND_P322))
+    with pytest.raises(ValueError, match="unknown band"):
+        band_filter(recs, "pi")
+    with pytest.raises(ValueError, match="unknown band"):
+        export([10], 12, "pi", None, None)
 
 
 def test_sixteenth_class_band_membership():
@@ -218,3 +225,26 @@ def test_count_stats_matches_the_records(m, qs):
 @pytest.mark.parametrize("m", [1, 2])
 def test_count_stats_with_no_solutions(m):
     assert count_stats([1], m) == SurveyStats(0, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("band", [BAND_FULL, BAND_PI6_PI4, BAND_P322])
+@pytest.mark.parametrize("m", [1, 3, 7, 12, 60])
+@pytest.mark.parametrize("qs", [[1], range(1, 41), range(281, 301), [7, 225, 288, 1125]])
+def test_export_matches_the_records(qs, m, band):
+    kept = band_filter(enumerate_solutions(qs, m), band)
+    want_csv, want_hist = io.StringIO(), io.StringIO()
+    write_records_csv(kept, want_csv)
+    histogram(kept, 2.5).write_csv(want_hist)
+    got_csv, got_hist = io.StringIO(), io.StringIO()
+    export(qs, m, band, got_csv, 2.5).write_csv(got_hist)
+    assert got_csv.getvalue() == want_csv.getvalue()
+    assert got_hist.getvalue() == want_hist.getvalue()
+    assert export(qs, m, band, None, None) is None
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_export_with_no_solutions(m):
+    buf = io.StringIO()
+    hist = export([1], m, BAND_FULL, buf, 1.0)
+    assert buf.getvalue().splitlines() == [CSV_HEADER]
+    assert len(hist.bins) == 90 and hist.total == 0
