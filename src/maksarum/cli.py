@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--Q-set", dest="q_set", choices=["p322"])
     p.add_argument("--M", dest="m", type=int, default=12)
     p.add_argument("--band", choices=[survey.BAND_FULL, survey.BAND_PI6_PI4, survey.BAND_P322],
-                   default=survey.BAND_FULL)
+                   default=survey.BAND_FULL,
+                   help="rows kept in --out and --histogram-out; --report prints all three bands")
     p.add_argument("--report", action="store_true", help="print the count and ratio lines")
     p.add_argument("--out", default=None, help="write the record CSV here")
     p.add_argument("--histogram-out", default=None, help="write an angle histogram CSV here")

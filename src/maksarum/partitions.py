@@ -122,6 +122,8 @@ def enumerate_bounded(
     lo = hi = None
     if x_range is not None:
         lo, hi = (Fraction(x_range[0]), Fraction(x_range[1]))
+        if lo > hi:
+            raise ValueError(f"empty X range: Xmin {lo} is above Xmax {hi}")
     out = []
     for _, xi, yi in survey._solutions([scale], m):
         if yi - xi >= 2 * m * scale:  # keep theta < pi/4, i.e. A < m

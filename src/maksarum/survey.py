@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Iterator, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, solve_integer
@@ -132,8 +132,62 @@ def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyReco
 
 
 def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
-    """stats(enumerate_solutions(q_values, m)), counted without building records."""
-    return _tally((a, b) for _, _, _, a, b, _ in _sides(q_set(q_values, m), m))
+    """stats(enumerate_solutions(q_values, m)), counted without building records.
+
+    One range [lo, hi] with lo <= hi/2 is counted from the primitive classes,
+    whose cost grows with m*hi; any other Q set from the divisor stream, whose
+    cost grows with the number of Q.
+    """
+    qs = q_set(q_values, m)
+    lo, hi = qs[0], qs[-1]
+    if 2 * lo <= hi and len(qs) == hi - lo + 1:
+        return _class_stats(lo, hi, m)
+    return _tally((a, b) for _, _, _, a, b, _ in _sides(qs, m))
+
+
+def _primitive_legs(top: int) -> Iterator[tuple[int, int, bool]]:
+    """(a0, b0, d0 - a0 == 1) for every oriented primitive triple with b0 <= top.
+
+    Euclid's form: u > v >= 1, coprime and of opposite parity, with legs
+    u*u - v*v and 2*u*v; each v range holds only the v whose b-leg fits.
+    """
+    for u in range(2, (top + 1) // 2 + 1):
+        uu = u * u
+        for v in range(1 + u % 2, min(u, top // (2 * u) + 1), 2):  # b0 = 2uv
+            if gcd(u, v) == 1:
+                yield uu - v * v, 2 * u * v, False
+        first = isqrt(uu - top - 1) + 1 if uu > top else 1
+        for v in range(first + (u - first + 1) % 2, u, 2):  # b0 = u*u - v*v, d0 - a0 = (u - v)**2
+            if gcd(u, v) == 1:
+                yield 2 * u * v, uu - v * v, v == u - 1
+
+
+def _class_stats(lo: int, hi: int, m: int) -> SurveyStats:
+    """count_stats(range(lo, hi + 1), m) from the primitive classes, with no divisor walk.
+
+    Every solution is k times one oriented primitive triple (a0, b0, d0) with
+    k*b0 = m*Q, so the class meets exactly the Q that L = b0/gcd(b0, m)
+    divides, once each; the one it loses is x = k*(d0 - a0) = 1, at k = 1 and
+    Q = L.  The bands depend only on (a0, b0).
+    """
+    total = band = p322 = distinct = distinct_band = distinct_p322 = 0
+    for a0, b0, unit in _primitive_legs(m * hi):
+        step = b0 // gcd(b0, m)
+        if step > hi:
+            continue
+        n = hi // step - (lo - 1) // step
+        if unit and b0 == step * m and lo <= step:
+            n -= 1
+        if n:
+            total += n
+            distinct += 1
+            if _in_pi6_pi4(a0, b0):
+                band += n
+                distinct_band += 1
+                if _in_p322(a0, b0):
+                    p322 += n
+                    distinct_p322 += 1
+    return SurveyStats(total, band, p322, distinct, distinct_band, distinct_p322)
 
 
 def band_filter(records: Iterable[SurveyRecord], band: str = BAND_FULL) -> list[SurveyRecord]:

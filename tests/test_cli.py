@@ -156,6 +156,46 @@ def test_survey_export_builds_no_records(tmp_path, monkeypatch, capsys):
     assert (code, out) == (0, csv_text.getvalue() + hist_text.getvalue())
 
 
+def _refuse_divisor_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the divisors")
+
+    monkeypatch.setattr("maksarum.survey._solutions", refuse)
+
+
+def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys):
+    _refuse_divisor_walk(monkeypatch)
+    code, out = run(capsys, "survey", "--Q-range", "1:1500", "--report")
+    assert code == 0
+    assert out.splitlines()[0] == "71983 4495 4143 / 14267 504 437"
+
+
+@pytest.mark.parametrize("selector,report", [
+    (["--Q", "1125"], [
+        "73 5 5 / 73 5 5",
+        "ratio pi6_pi4: 5/73 = 0.0684932",
+        "ratio p322:    5/73 = 0.0684932",
+        "distinct pi6_pi4: 5/73 = 0.06849",
+        "distinct p322:    5/73 = 0.06849",
+    ]),
+    (["--Q-range", "1000:1100"], [
+        "5544 327 299 / 3439 130 111",
+        "ratio pi6_pi4: 327/5544 = 0.0589827",
+        "ratio p322:    299/5544 = 0.0539322",
+        "distinct pi6_pi4: 130/3439 = 0.03780",
+        "distinct p322:    111/3439 = 0.03228",
+    ]),
+    (["--Q-set", "p322"], P322_REPORT),
+])
+def test_survey_other_q_sets_report_from_the_divisors(monkeypatch, capsys, selector, report):
+    code, out = run(capsys, "survey", *selector, "--report")
+    assert code == 0
+    assert out.splitlines() == report
+    _refuse_divisor_walk(monkeypatch)
+    with pytest.raises(AssertionError, match="walked the divisors"):
+        main(["survey", *selector, "--report"])
+
+
 @pytest.mark.parametrize("m", ["1", "2"])
 def test_survey_report_with_no_solutions(capsys, m):
     code, out = run(capsys, "survey", "--M", m, "--Q", "1", "--report")
@@ -261,6 +301,7 @@ def test_usage_errors():
     ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "1e-300"],
     ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "1e-9"],
     ["survey", "--Q", "5", "--out", "A", "--histogram-out", "F", "--bin-width", "0"],
+    ["generate", "--bounded", "2", "--Xmin", "3", "--Xmax", "1"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -12,6 +12,9 @@ from maksarum.survey import (
     BAND_PI6_PI4,
     CSV_HEADER,
     SurveyStats,
+    _class_stats,
+    _sides,
+    _tally,
     band_filter,
     count_stats,
     enumerate_solutions,
@@ -220,6 +223,18 @@ def test_count_stats_total_is_the_divisor_count_sum(counts_to_5000):
 @pytest.mark.parametrize("qs", [[1], range(1, 41), range(281, 301), [7, 225, 288, 1125]])
 def test_count_stats_matches_the_records(m, qs):
     assert count_stats(qs, m) == stats(enumerate_solutions(qs, m))
+
+
+@pytest.mark.parametrize("m,lo,hi", [
+    (m, lo, hi)
+    for m in (1, 2, 3, 5, 7, 12, 60)
+    for lo, hi in ((1, 1), (1, 2), (2, 40), (7, 7), (281, 300), (1, 100), (16, 215))
+] + [(m, 16, 1515) for m in (1, 3, 12, 60)])
+def test_class_counts_match_the_divisor_stream(m, lo, hi):
+    # odd M reaches the lost x = 1 solution (k = 1, d0 - a0 = 1) at Q = L
+    want = _tally((a, b) for _, _, _, a, b, _ in _sides(range(lo, hi + 1), m))
+    assert _class_stats(lo, hi, m) == want
+    assert count_stats(range(lo, hi + 1), m) == want
 
 
 @pytest.mark.parametrize("m", [1, 2])
