@@ -131,16 +131,23 @@ def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyReco
     return [_record(solve_integer(x, q, m)) for q, x, _ in _solutions(q_set(q_values, m), m)]
 
 
+# The class walk costs about 1 to 3 us per unit of m*hi whatever lo is; the
+# divisor stream about 20 us to 1.6 ms per Q, more as (m*Q)**2 has more divisors.
+# Their measured crossover m*hi/len(qs) is about 10 to 33 at m = 1 and at least
+# 18 for every m >= 2 measured (tools/crossover.py; two runs are in BENCH_9.json).
+_CLASS_COST_RATIO = 16
+
+
 def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
     """stats(enumerate_solutions(q_values, m)), counted without building records.
 
-    One range [lo, hi] with lo <= hi/2 is counted from the primitive classes,
-    whose cost grows with m*hi; any other Q set from the divisor stream, whose
-    cost grows with the number of Q.
+    One range [lo, hi] with m*hi at most _CLASS_COST_RATIO times its length is
+    counted from the primitive classes, whose cost grows with m*hi; any other
+    Q set from the divisor stream, whose cost grows with the number of Q.
     """
     qs = q_set(q_values, m)
     lo, hi = qs[0], qs[-1]
-    if 2 * lo <= hi and len(qs) == hi - lo + 1:
+    if len(qs) == hi - lo + 1 and m * hi <= _CLASS_COST_RATIO * len(qs):
         return _class_stats(lo, hi, m)
     return _tally((a, b) for _, _, _, a, b, _ in _sides(qs, m))
 

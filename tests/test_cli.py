@@ -170,6 +170,17 @@ def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys):
     assert out.splitlines()[0] == "71983 4495 4143 / 14267 504 437"
 
 
+def test_survey_large_m_short_range_report_walks_no_classes(monkeypatch, capsys):
+    # the class walk would cost about M*HIGH = 2e6 steps for two Q
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the classes")
+
+    monkeypatch.setattr("maksarum.survey._class_stats", refuse)
+    code, out = run(capsys, "survey", "--M", "1000003", "--Q-range", "1:2", "--report")
+    assert code == 0
+    assert out.splitlines()[0] == "1 0 0 / 1 0 0"
+
+
 @pytest.mark.parametrize("selector,report", [
     (["--Q", "1125"], [
         "73 5 5 / 73 5 5",

@@ -237,6 +237,24 @@ def test_class_counts_match_the_divisor_stream(m, lo, hi):
     assert count_stats(range(lo, hi + 1), m) == want
 
 
+@pytest.mark.parametrize("m,lo,hi,by_class", [
+    (16, 1, 100, True),  # M*hi is exactly _CLASS_COST_RATIO times the length
+    (16, 2, 100, False),
+    (1, 85, 100, True),
+    (1, 95, 100, False),
+    (1000003, 1, 2, False),
+])
+def test_count_stats_picks_a_path_from_m_and_the_range(monkeypatch, m, lo, hi, by_class):
+    want = _tally((a, b) for _, _, _, a, b, _ in _sides(range(lo, hi + 1), m))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("took the other path")
+
+    monkeypatch.setattr("maksarum.survey._solutions" if by_class else "maksarum.survey._class_stats",
+                        refuse)
+    assert count_stats(range(lo, hi + 1), m) == want
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_count_stats_with_no_solutions(m):
     assert count_stats([1], m) == SurveyStats(0, 0, 0, 0, 0, 0)
