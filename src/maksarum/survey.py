@@ -131,10 +131,11 @@ def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyReco
     return [_record(solve_integer(x, q, m)) for q, x, _ in _solutions(q_set(q_values, m), m)]
 
 
-# The class walk costs about 1 to 3 us per unit of m*hi whatever lo is; the
-# divisor stream about 20 us to 1.6 ms per Q, more as (m*Q)**2 has more divisors.
-# Their measured crossover m*hi/len(qs) is about 10 to 33 at m = 1 and at least
-# 18 for every m >= 2 measured (tools/crossover.py; two runs are in BENCH_9.json).
+# The class walk costs about 1 to 2 us per unit of m*hi whatever lo is; the
+# divisor stream about 10 us to 0.8 ms per Q, more as (m*Q)**2 has more
+# divisors. Their measured crossover m*hi/len(qs) is about 10 to 40 at m = 1 and
+# at least 18 for every m >= 2 measured (tools/crossover.py; two runs are in
+# BENCH_9.json), so the class walk is picked slower only at m = 1.
 _CLASS_COST_RATIO = 16
 
 
