@@ -13,10 +13,11 @@ import argparse
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
+from math import gcd
 from typing import Sequence, TextIO
 
 from . import circle, partitions, survey, tablet
-from .factor import fourth_column
+from .factor import Triple, fourth_column
 from .sexagesimal import IrregularError, Sexagesimal, parse as parse_number, regular_power, to_string
 
 
@@ -118,22 +119,27 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], list[list[st
 
 
 def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], list[list[str]]]:
-    pairs = partitions.enumerate_bounded(m, k, x_range)
+    scale = 60**k
+    # every pair is an integer solution (x, y) of b = m*scale over 60**k
+    solutions = [
+        (pair.x.numerator * (scale // pair.x.denominator), pair.y.numerator * (scale // pair.y.denominator))
+        for pair in partitions.enumerate_bounded(m, k, x_range)
+    ]
+    rows = []
     if decimal:
         header = ["place", "b", "d", "a", "ratio"]
-        rows = []
-        for place, pair in enumerate(pairs, 1):
-            _, t = partitions.pair_solution(pair)
+        for place, (x, y) in enumerate(solutions, 1):
+            a, b = (y - x) // 2, m * scale
+            g = gcd(a, b)  # divides d too
+            t = Triple(a // g, b // g, (y + x) // 2 // g)
             rows.append(
                 [str(place), str(t.b), str(t.d), str(t.a), _ratio_15g(t.a * t.a, t.b * t.b)]
             )
         return header, rows
     header = ["place", "X", "Y", "A", "D"]
-    rows = []
-    for place, pair in enumerate(pairs, 1):
-        a_side = (pair.y - pair.x) / 2
-        d_side = (pair.y + pair.x) / 2
-        rows.append([str(place)] + [to_string(v) for v in (pair.x, pair.y, a_side, d_side)])
+    for place, (x, y) in enumerate(solutions, 1):
+        cells = (x, y, (y - x) // 2, (y + x) // 2)
+        rows.append([str(place)] + [to_string(Sexagesimal(v, k)) for v in cells])
     return header, rows
 
 
@@ -154,13 +160,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 # --- survey -----------------------------------------------------------------
 
-def _parse_q_selector(args: argparse.Namespace) -> list[int]:
+def _parse_q_selector(args: argparse.Namespace) -> Sequence[int]:
     if args.q is not None:
         return [args.q]
     if args.q_range is not None:
         lo, _, hi = args.q_range.partition(":")
         try:
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         except ValueError:
             raise ValueError(f"bad --Q-range {args.q_range!r}; expected LOW:HIGH") from None
     return tablet.p322_q_set()

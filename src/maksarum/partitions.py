@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, isqrt
 from typing import NamedTuple
 
 from . import survey
@@ -119,20 +120,18 @@ def enumerate_bounded(
     if max_frac_digits < 0:
         raise ValueError(f"max_frac_digits must be >= 0, got {max_frac_digits}")
     scale = 60**max_frac_digits
-    lo = hi = None
+    b = m * scale
+    # theta < pi/4 (A < m) is y - x < 2b, i.e. x > b*(sqrt(2) - 1); 2b**2 is no square
+    lo, hi = isqrt(2 * b * b) - b + 1, b
     if x_range is not None:
-        lo, hi = (Fraction(x_range[0]), Fraction(x_range[1]))
-        if lo > hi:
-            raise ValueError(f"empty X range: Xmin {lo} is above Xmax {hi}")
-    out = []
-    for _, xi, yi in survey._solutions([scale], m):
-        if yi - xi >= 2 * m * scale:  # keep theta < pi/4, i.e. A < m
-            continue
-        x = Fraction(xi, scale)
-        if lo is not None and not (lo <= x <= hi):
-            continue
-        out.append(GeneratorPair(x, Fraction(yi, scale), m))
-    return out
+        xmin, xmax = Fraction(x_range[0]), Fraction(x_range[1])
+        if xmin > xmax:
+            raise ValueError(f"empty X range: Xmin {xmin} is above Xmax {xmax}")
+        lo, hi = max(lo, ceil(xmin * scale)), min(hi, floor(xmax * scale) + 1)
+    return [
+        GeneratorPair(Fraction(x, scale), Fraction(y, scale), m)
+        for x, y in survey._generators(b, lo, hi)
+    ]
 
 
 def partition_table(m: int = 12) -> list[tuple[int | None, GeneratorPair, Fraction, Fraction]]:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, solve_integer
 from .ntheory import divisors_from_factors, factorize
@@ -94,9 +94,16 @@ def _record(sol: GeneratorSolution) -> SurveyRecord:
     )
 
 
-def q_set(q_values: Iterable[int], m: int = 12) -> list[int]:
-    """The scale generators sorted and deduplicated; ValueError on bad input."""
-    qs = sorted(set(q_values))
+def q_set(q_values: Iterable[int], m: int = 12) -> Sequence[int]:
+    """The scale generators sorted and deduplicated; ValueError on bad input.
+
+    An ascending step-1 range is already both and is returned as it is, so a
+    wide --Q-range holds two integers rather than a list and a set.
+    """
+    if isinstance(q_values, range) and q_values.step == 1:
+        qs = q_values
+    else:
+        qs = sorted(set(q_values))
     if not qs:
         raise ValueError("empty Q set")
     if m < 1 or qs[0] < 1:
@@ -104,17 +111,20 @@ def q_set(q_values: Iterable[int], m: int = 12) -> list[int]:
     return qs
 
 
+def _generators(b: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(x, y = b**2/x) for the divisors lo <= x < hi of b**2 with x and y of equal parity, ascending."""
+    bsq = b * b
+    for x in divisors_from_factors({p: 2 * e for p, e in factorize(b).items()}, lo, hi):
+        y = bsq // x
+        if not (y - x) % 2:
+            yield x, y
+
+
 def _solutions(qs: Iterable[int], m: int) -> Iterator[tuple[int, int, int]]:
     """(q, x, y) for every solution over the checked scale generators, in (Q, x) order."""
     for q in qs:
-        b = m * q
-        bsq = b * b
-        for x in divisors_from_factors({p: 2 * e for p, e in factorize(b).items()}):
-            if x >= b:
-                break  # divisors ascend
-            y = bsq // x
-            if x >= 2 and not (y - x) % 2:
-                yield q, x, y
+        for x, y in _generators(m * q, 2, m * q):
+            yield q, x, y
 
 
 def _sides(qs: Iterable[int], m: int) -> Iterator[tuple[int, int, int, int, int, int]]:

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from maksarum import survey
+from maksarum import partitions, survey
 from maksarum.cli import main
-from maksarum.sexagesimal import parse
+from maksarum.partitions import pair_solution
+from maksarum.sexagesimal import parse, to_string
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -86,6 +87,26 @@ def test_generate_bounded_window(capsys):
     _, out = run(capsys, "generate", "--bounded", "3", "--Xmin", "05", "--Xmax", "06.~40",
                  "--format", "tsv")
     assert len(out.splitlines()) == 20  # header + 19 pairs
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (7, 3), (13, 5), (20, 4), (60, 2)])
+def test_bounded_rows_are_the_pair_fractions(monkeypatch, capsys, m, k):
+    # reference: each pair's Fraction sides, and pair_solution's reduced triple
+    pairs = partitions.enumerate_bounded(m, k)
+    sides = [[to_string(v) for v in (p.x, p.y, (p.y - p.x) / 2, (p.y + p.x) / 2)] for p in pairs]
+    triples = [pair_solution(p)[1] for p in pairs]
+    assert pairs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row went through pair_solution")
+
+    monkeypatch.setattr("maksarum.partitions.pair_solution", refuse)
+    argv = ["generate", "--bounded", str(k), "--M", str(m), "--format", "tsv"]
+    _, out = run(capsys, *argv)
+    assert [line.split("\t")[1:] for line in out.splitlines()[1:]] == sides
+    _, out = run(capsys, *argv, "--decimal")
+    rows = [line.split("\t")[1:4] for line in out.splitlines()[1:]]
+    assert rows == [[str(t.b), str(t.d), str(t.a)] for t in triples]
 
 
 def test_generate_general_m(capsys):
@@ -205,6 +226,18 @@ def test_survey_other_q_sets_report_from_the_divisors(monkeypatch, capsys, selec
     _refuse_divisor_walk(monkeypatch)
     with pytest.raises(AssertionError, match="walked the divisors"):
         main(["survey", *selector, "--report"])
+
+
+def test_survey_q_range_stays_a_range(monkeypatch):
+    seen = []
+
+    def record(qs, m):
+        seen.append(qs)
+        return survey.SurveyStats(0, 0, 0, 0, 0, 0)
+
+    monkeypatch.setattr("maksarum.survey.count_stats", record)
+    assert main(["survey", "--Q-range", "1:1000000", "--report"]) == 0
+    assert seen == [range(1, 1000001)] and isinstance(seen[0], range)
 
 
 @pytest.mark.parametrize("m", ["1", "2"])

@@ -156,8 +156,11 @@ def test_bounded_pairs_are_the_integer_scheme_at_scale():
     assert scaled_x == solutions
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-@pytest.mark.parametrize("m", [1, 3, 5, 12, 20, 60])
+@pytest.mark.parametrize(
+    "m, k",
+    [(m, k) for m in (1, 3, 5, 12, 20, 60) for k in (0, 1, 2, 3)]
+    + [(12, 22), (20, 22), (1000003, 2)],  # the benchmark's tables and a large prime M
+)
 def test_enumerate_bounded_matches_sympy_divisor_scan(m, k):
     # oracle: complementary divisors xi < yi of m**2 * 60**(2k), equal parity, A < m
     scale = 60**k
@@ -173,6 +176,10 @@ def test_enumerate_bounded_matches_sympy_divisor_scan(m, k):
     lo, hi = Fraction(m, 2), Fraction(3 * m, 4)
     window = [(x, y) for x, y in expected if lo <= x <= hi]
     assert [(p.x, p.y) for p in enumerate_bounded(m, k, (lo, hi))] == window
+    if len(expected) >= 3:  # bounds equal to pair values are both kept
+        lo, hi = expected[1][0], expected[-2][0]
+        assert [(p.x, p.y) for p in enumerate_bounded(m, k, (lo, hi))] == expected[1:-1]
+        assert [(p.x, p.y) for p in enumerate_bounded(m, k, (lo, lo))] == expected[1:2]
 
 
 def test_enumerate_bounded_four_digits_contains_giza():

@@ -22,6 +22,7 @@ from maksarum.survey import (
     histogram,
     p322_selection,
     primitive_reduce,
+    q_set,
     rejected_p322_classes,
     stats,
     write_records_csv,
@@ -181,6 +182,18 @@ def test_enumerate_rejects_bad_input():
             entry([0, 5])
         with pytest.raises(ValueError):
             entry([3], m=0)
+        with pytest.raises(ValueError):
+            entry(range(5, 5))
+        with pytest.raises(ValueError):
+            entry(range(0, 3))
+
+
+def test_q_set_keeps_a_step_one_range():
+    qs = range(3, 100001)
+    assert q_set(qs) is qs
+    assert q_set(range(9, 2, -1)) == list(range(3, 10))
+    assert q_set(range(3, 10, 2)) == [3, 5, 7, 9]
+    assert q_set([5, 3, 5]) == [3, 5]
 
 
 def test_enumerate_other_bundling_factors():
