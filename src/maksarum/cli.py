@@ -120,10 +120,10 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], list[list[st
 
 def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], list[list[str]]]:
     scale = 60**k
-    # every pair is an integer solution (x, y) of b = m*scale over 60**k
+    # each pair is (x, y) / 60**k for an integer solution (x, y) against b = m * 60**k
     solutions = [
-        (pair.x.numerator * (scale // pair.x.denominator), pair.y.numerator * (scale // pair.y.denominator))
-        for pair in partitions.enumerate_bounded(m, k, x_range)
+        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+        for p in partitions.enumerate_bounded(m, k, x_range)
     ]
     rows = []
     if decimal:

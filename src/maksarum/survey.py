@@ -112,7 +112,7 @@ def q_set(q_values: Iterable[int], m: int = 12) -> Sequence[int]:
 
 
 def _generators(b: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """(x, y = b**2/x) for the divisors lo <= x < hi of b**2 with x and y of equal parity, ascending."""
+    """(x, y = b**2/x) for the divisors lo <= x < hi of b**2 with y - x even, ascending."""
     bsq = b * b
     for x in divisors_from_factors({p: 2 * e for p, e in factorize(b).items()}, lo, hi):
         y = bsq // x
@@ -141,11 +141,11 @@ def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyReco
     return [_record(solve_integer(x, q, m)) for q, x, _ in _solutions(q_set(q_values, m), m)]
 
 
-# The class walk costs about 1 to 2 us per unit of m*hi whatever lo is; the
-# divisor stream about 10 us to 0.8 ms per Q, more as (m*Q)**2 has more
-# divisors. Their measured crossover m*hi/len(qs) is about 10 to 40 at m = 1 and
-# at least 18 for every m >= 2 measured (tools/crossover.py; two runs are in
-# BENCH_9.json), so the class walk is picked slower only at m = 1.
+# The class walk costs about 1 to 3 us per unit of m*hi whatever lo is; the
+# divisor stream about 15 us to 1.4 ms per Q, more as (m*Q)**2 has more
+# divisors. Their measured crossover m*hi/len(qs) is about 11 to 35 at m = 1 and
+# at least 16.8 for every m >= 2 measured (tools/crossover.py; runs are in
+# BENCH_9.json and BENCH_10.json), so the class walk is picked slower only at m = 1.
 _CLASS_COST_RATIO = 16
 
 
