@@ -237,7 +237,7 @@ def test_survey_q_range_stays_a_range(monkeypatch):
 
     monkeypatch.setattr("maksarum.survey.count_stats", record)
     assert main(["survey", "--Q-range", "1:1000000", "--report"]) == 0
-    assert seen == [range(1, 1000001)] and isinstance(seen[0], range)
+    assert seen == [range(1, 1000001)]  # a list of the same Q would not compare equal
 
 
 @pytest.mark.parametrize("m", ["1", "2"])
