@@ -119,17 +119,13 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], list[list[st
 
 
 def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], list[list[str]]]:
-    scale = 60**k
     # each pair is (x, y) / 60**k for an integer solution (x, y) against b = m * 60**k
-    solutions = [
-        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
-        for p in partitions.enumerate_bounded(m, k, x_range)
-    ]
+    b, lo, hi = partitions._bounded_window(m, k, x_range)
     rows = []
     if decimal:
         header = ["place", "b", "d", "a", "ratio"]
-        for place, (x, y) in enumerate(solutions, 1):
-            a, b = (y - x) // 2, m * scale
+        for place, (x, y) in enumerate(survey._generators(b, lo, hi), 1):
+            a = (y - x) // 2
             g = gcd(a, b)  # divides d too
             t = Triple(a // g, b // g, (y + x) // 2 // g)
             rows.append(
@@ -137,7 +133,10 @@ def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], li
             )
         return header, rows
     header = ["place", "X", "Y", "A", "D"]
-    for place, (x, y) in enumerate(solutions, 1):
+    bsq = b * b
+    for place, (x, y) in enumerate(survey._generators(b, lo, hi), 1):
+        if x * y != bsq:
+            raise ValueError(f"contract violation: {x} * {y} != {b}**2")
         cells = (x, y, (y - x) // 2, (y + x) // 2)
         rows.append([str(place)] + [to_string(Sexagesimal(v, k)) for v in cells])
     return header, rows

@@ -52,6 +52,8 @@ class GeneratorPair:
     m: int = 12
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"M must be >= 1, got {self.m}")
         if self.x <= 0 or self.y <= 0:
             raise ValueError(f"partition parts must be positive: {self.x}, {self.y}")
         if self.x * self.y != self.m * self.m:
@@ -99,6 +101,29 @@ def step_by_s(g: GeneratorPair, s: Fraction) -> GeneratorPair:
     return step(g, s * g.x / k)
 
 
+def _bounded_window(
+    m: int, max_frac_digits: int, x_range: tuple[Fraction, Fraction] | None
+) -> tuple[int, int, int]:
+    """(b, lo, hi): the pairs within the digit budget are survey._generators(b, lo, hi).
+
+    b = m * 60**max_frac_digits, and each pair is (x, y) / 60**max_frac_digits.
+    """
+    if m < 1:
+        raise ValueError(f"M must be >= 1, got {m}")
+    if max_frac_digits < 0:
+        raise ValueError(f"max_frac_digits must be >= 0, got {max_frac_digits}")
+    scale = 60**max_frac_digits
+    b = m * scale
+    # theta < pi/4 (A < m) is y - x < 2b, i.e. x > b*(sqrt(2) - 1); 2b**2 is no square
+    lo, hi = isqrt(2 * b * b) - b + 1, b
+    if x_range is not None:
+        xmin, xmax = Fraction(x_range[0]), Fraction(x_range[1])
+        if xmin > xmax:
+            raise ValueError(f"empty X range: Xmin {xmin} is above Xmax {xmax}")
+        lo, hi = max(lo, ceil(xmin * scale)), min(hi, floor(xmax * scale) + 1)
+    return b, lo, hi
+
+
 def enumerate_bounded(
     m: int,
     max_frac_digits: int,
@@ -115,19 +140,8 @@ def enumerate_bounded(
     gives 59 pairs, of which the historical 51-row table omits eight (see
     tests/test_acceptance.py::test_c04b_bounded_table_row_count_as_stated).
     """
-    if m < 1:
-        raise ValueError(f"M must be >= 1, got {m}")
-    if max_frac_digits < 0:
-        raise ValueError(f"max_frac_digits must be >= 0, got {max_frac_digits}")
+    b, lo, hi = _bounded_window(m, max_frac_digits, x_range)
     scale = 60**max_frac_digits
-    b = m * scale
-    # theta < pi/4 (A < m) is y - x < 2b, i.e. x > b*(sqrt(2) - 1); 2b**2 is no square
-    lo, hi = isqrt(2 * b * b) - b + 1, b
-    if x_range is not None:
-        xmin, xmax = Fraction(x_range[0]), Fraction(x_range[1])
-        if xmin > xmax:
-            raise ValueError(f"empty X range: Xmin {xmin} is above Xmax {xmax}")
-        lo, hi = max(lo, ceil(xmin * scale)), min(hi, floor(xmax * scale) + 1)
     return [
         GeneratorPair(Fraction(x, scale), Fraction(y, scale), m)
         for x, y in survey._generators(b, lo, hi)

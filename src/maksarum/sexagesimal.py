@@ -23,6 +23,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from typing import Sequence
 
 BASE = 60
 
@@ -65,6 +66,17 @@ def regular_power(den: int) -> int:
         den //= g
         k += 1
     return k
+
+
+def _expand(n: int, width: int, symbols: Sequence) -> list:
+    """symbols[d] for each base-60 digit d of n >= 0, most significant first, zero-padded to width."""
+    out = []
+    while n:
+        n, d = divmod(n, BASE)
+        out.append(symbols[d])
+    out.extend([symbols[0]] * (width - len(out)))
+    out.reverse()
+    return out
 
 
 def _comparison(op):
@@ -158,27 +170,15 @@ class Sexagesimal:
 
     @property
     def int_digits(self) -> list[int]:
-        n = self._scaled // BASE**self._frac_len
-        if n == 0:
-            return [0]
-        out = []
-        while n:
-            out.append(n % BASE)
-            n //= BASE
-        return out[::-1]
+        return _expand(self._scaled // BASE**self._frac_len, 1, range(BASE))
 
     @property
     def frac_digits(self) -> list[int]:
-        n = self._scaled % BASE**self._frac_len
-        out = []
-        for _ in range(self._frac_len):
-            out.append(n % BASE)
-            n //= BASE
-        return out[::-1]
+        return _expand(self._scaled % BASE**self._frac_len, self._frac_len, range(BASE))
 
     @property
     def digits(self) -> list[int]:
-        return self.int_digits + self.frac_digits
+        return _expand(self._scaled, self._frac_len + 1, range(BASE))
 
     __eq__ = _comparison(operator.eq)
     __lt__ = _comparison(operator.lt)
@@ -354,6 +354,9 @@ def _split_groups(part: str, sep: str, whole: str) -> list[int]:
 
 # --- formatting -------------------------------------------------------------
 
+_DIGIT_TEXT = tuple(f"{d:02d}" for d in range(BASE))  # the two-character text of each digit
+
+
 def to_string(value: "Sexagesimal | int | Fraction", style: str = "paper") -> str:
     """Render a numeral; styles are "paper" (02~49, 01.~12) and "colon" (02:49, 01;12)."""
     if style not in ("paper", "colon"):
@@ -362,10 +365,12 @@ def to_string(value: "Sexagesimal | int | Fraction", style: str = "paper") -> st
     if isinstance(value, PlaceValue) and value.frac_len:
         return f"{to_string(value.mantissa, style)} S-{value.frac_len}"
     sep, radix = ("~", ".~") if style == "paper" else (":", ";")
-    ints = sep.join(f"{d:02d}" for d in value.int_digits)
-    if value.frac_len == 0:
-        return ints
-    return ints + radix + sep.join(f"{d:02d}" for d in value.frac_digits)
+    f = value.frac_len
+    digits = _expand(value.scaled, f + 1, _DIGIT_TEXT)
+    if not f:
+        return sep.join(digits)
+    cut = len(digits) - f
+    return sep.join(digits[:cut]) + radix + sep.join(digits[cut:])
 
 
 # --- derived operations -----------------------------------------------------

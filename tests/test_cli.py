@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from maksarum import partitions, survey
 from maksarum.cli import main
 from maksarum.partitions import pair_solution
-from maksarum.sexagesimal import parse, to_string
+from maksarum.sexagesimal import parse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,24 +90,50 @@ def test_generate_bounded_window(capsys):
     assert len(out.splitlines()) == 20  # header + 19 pairs
 
 
+def _read_base60(cell: str) -> Fraction:
+    """A paper-style cell read back with Fraction arithmetic, no package code."""
+    int_part, _, frac_part = cell.partition(".~")
+    frac_groups = frac_part.split("~") if frac_part else []
+    value = Fraction(0)
+    for g in int_part.split("~") + frac_groups:
+        assert len(g) == 2 and g.isdigit() and int(g) < 60, cell
+        value = value * 60 + int(g)
+    return value / 60 ** len(frac_groups)
+
+
 @pytest.mark.parametrize("m, k", [(1, 2), (7, 3), (13, 5), (20, 4), (60, 2)])
 def test_bounded_rows_are_the_pair_fractions(monkeypatch, capsys, m, k):
     # reference: each pair's Fraction sides, and pair_solution's reduced triple
     pairs = partitions.enumerate_bounded(m, k)
-    sides = [[to_string(v) for v in (p.x, p.y, (p.y - p.x) / 2, (p.y + p.x) / 2)] for p in pairs]
+    sides = [[p.x, p.y, (p.y - p.x) / 2, (p.y + p.x) / 2] for p in pairs]
     triples = [pair_solution(p)[1] for p in pairs]
     assert pairs
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a row went through pair_solution")
+        raise AssertionError("a row went through pair_solution or GeneratorPair")
 
     monkeypatch.setattr("maksarum.partitions.pair_solution", refuse)
+    monkeypatch.setattr("maksarum.partitions.GeneratorPair", refuse)
     argv = ["generate", "--bounded", str(k), "--M", str(m), "--format", "tsv"]
     _, out = run(capsys, *argv)
-    assert [line.split("\t")[1:] for line in out.splitlines()[1:]] == sides
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [str(i) for i in range(1, len(pairs) + 1)]
+    assert [[_read_base60(c) for c in row[1:]] for row in rows] == sides
     _, out = run(capsys, *argv, "--decimal")
     rows = [line.split("\t")[1:4] for line in out.splitlines()[1:]]
     assert rows == [[str(t.b), str(t.d), str(t.a)] for t in triples]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--bounded", "1", "--Xmin", "11.~59", "--Xmax", "11.~59"], []),  # no pair in the window
+    (["--bounded", "0"], [["1", "06", "24", "09", "15"], ["2", "08", "18", "05", "13"]]),
+])
+def test_generate_bounded_edge_windows(capsys, argv, expected):
+    code, out = run(capsys, "generate", *argv, "--format", "tsv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "place\tX\tY\tA\tD"
+    assert [line.split("\t") for line in lines[1:]] == expected
 
 
 def test_generate_general_m(capsys):
@@ -346,6 +373,9 @@ def test_usage_errors():
     ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "1e-9"],
     ["survey", "--Q", "5", "--out", "A", "--histogram-out", "F", "--bin-width", "0"],
     ["generate", "--bounded", "2", "--Xmin", "3", "--Xmax", "1"],
+    ["partitions", "--M", "0"],
+    ["partitions", "--M", "-12"],
+    ["partitions", "--scaled", "--M", "0"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -354,6 +384,17 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("maksarum: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # bad input writes no output file
+
+
+@pytest.mark.parametrize("argv, m", [
+    (["partitions", "--M", "0"], 0),
+    (["partitions", "--M", "-12"], -12),
+    (["partitions", "--scaled", "--M", "0"], 0),
+    (["generate", "--bounded", "3", "--M", "0"], 0),
+])
+def test_bad_m_is_named(capsys, argv, m):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"maksarum: M must be >= 1, got {m}\n"
 
 
 def test_output_is_deterministic(capsys):

@@ -156,6 +156,44 @@ def test_place_value_roundtrip_property(mantissa, shift, style):
     assert parse(to_string(pv, style)) == pv
 
 
+def _expected_text(value: Fraction, style: str) -> str:
+    """The base-60 text of value >= 0 built with Fraction arithmetic, no package code."""
+    sep, radix = ("~", ".~") if style == "paper" else (":", ";")
+    whole = value.numerator // value.denominator
+    ints = []
+    while True:
+        whole, d = divmod(whole, 60)
+        ints.insert(0, d)
+        if not whole:
+            break
+    rest, fracs = value - value.numerator // value.denominator, []
+    while rest:
+        rest *= 60
+        fracs.append(rest.numerator // rest.denominator)
+        rest -= fracs[-1]
+    text = sep.join(f"{d:02d}" for d in ints)
+    return text + radix + sep.join(f"{d:02d}" for d in fracs) if fracs else text
+
+
+@given(st.integers(min_value=0, max_value=60**30), st.integers(min_value=0, max_value=25),
+       st.sampled_from(["paper", "colon"]))
+def test_to_string_matches_fraction_expansion(scaled, frac_len, style):
+    value = Fraction(scaled, 60**frac_len)
+    assert to_string(Sexagesimal(scaled, frac_len), style) == _expected_text(value, style)
+    assert to_string(value, style) == _expected_text(value, style)
+
+
+@given(st.integers(min_value=0, max_value=60**12), st.integers(min_value=-12, max_value=4),
+       st.sampled_from(["paper", "colon"]))
+def test_place_value_to_string_matches_fraction_expansion(mantissa, shift, style):
+    value = Fraction(mantissa) * Fraction(60) ** shift
+    n = 0  # the fewest fractional digits: the text is mantissa S-n
+    while (value * 60**n).denominator != 1:
+        n += 1
+    expected = _expected_text(value * 60**n, style) + (f" S-{n}" if n else "")
+    assert to_string(PlaceValue(mantissa, shift), style) == expected
+
+
 @given(sexagesimals, sexagesimals)
 def test_arithmetic_matches_rational_oracle(a, b):
     assert (a + b).value == a.value + b.value
