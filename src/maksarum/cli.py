@@ -121,10 +121,11 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], list[list[st
 def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], list[list[str]]]:
     # each pair is (x, y) / 60**k for an integer solution (x, y) against b = m * 60**k
     b, lo, hi = partitions._bounded_window(m, k, x_range)
+    solutions = survey._generators(b, lo, hi)
     rows = []
     if decimal:
         header = ["place", "b", "d", "a", "ratio"]
-        for place, (x, y) in enumerate(survey._generators(b, lo, hi), 1):
+        for place, (x, y) in enumerate(solutions, 1):
             a = (y - x) // 2
             g = gcd(a, b)  # divides d too
             t = Triple(a // g, b // g, (y + x) // 2 // g)
@@ -134,7 +135,7 @@ def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], li
         return header, rows
     header = ["place", "X", "Y", "A", "D"]
     bsq = b * b
-    for place, (x, y) in enumerate(survey._generators(b, lo, hi), 1):
+    for place, (x, y) in enumerate(solutions, 1):
         if x * y != bsq:
             raise ValueError(f"contract violation: {x} * {y} != {b}**2")
         cells = (x, y, (y - x) // 2, (y + x) // 2)

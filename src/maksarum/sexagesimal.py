@@ -23,7 +23,6 @@ import math
 import operator
 import re
 from fractions import Fraction
-from typing import Sequence
 
 BASE = 60
 
@@ -68,7 +67,7 @@ def regular_power(den: int) -> int:
     return k
 
 
-def _expand(n: int, width: int, symbols: Sequence) -> list:
+def _expand(n: int, width: int, symbols: "tuple[str, ...] | range") -> list:
     """symbols[d] for each base-60 digit d of n >= 0, most significant first, zero-padded to width."""
     out = []
     while n:

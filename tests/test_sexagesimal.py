@@ -160,13 +160,12 @@ def _expected_text(value: Fraction, style: str) -> str:
     """The base-60 text of value >= 0 built with Fraction arithmetic, no package code."""
     sep, radix = ("~", ".~") if style == "paper" else (":", ";")
     whole = value.numerator // value.denominator
-    ints = []
+    rest, ints, fracs = value - whole, [], []
     while True:
         whole, d = divmod(whole, 60)
         ints.insert(0, d)
         if not whole:
             break
-    rest, fracs = value - value.numerator // value.denominator, []
     while rest:
         rest *= 60
         fracs.append(rest.numerator // rest.denominator)
