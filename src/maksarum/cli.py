@@ -105,8 +105,7 @@ def _qtable_fourth(sol, decimal: bool) -> str:
 def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], list[list[str]]]:
     header = ["x", "y", "b", "a", "d", "a2", "fourth"]
     rows = []
-    for rec in survey.enumerate_solutions([q], m=m):
-        sol = rec.solution
+    for sol in survey.enumerate_solutions([q], m=m):
         t = sol.triple
         cells = [sol.x, sol.y, t.b, t.a, t.d, t.a * t.a]
         if decimal:
@@ -145,6 +144,8 @@ def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], li
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.q is not None:
+        if args.xmin is not None or args.xmax is not None:
+            raise ValueError("--Xmin and --Xmax apply only to --bounded")
         header, rows = _qtable_rows(args.q, args.m, args.decimal)
     else:
         x_range = None
@@ -201,6 +202,8 @@ def cmd_survey(args: argparse.Namespace) -> int:
 # --- partitions -------------------------------------------------------------
 
 def cmd_partitions(args: argparse.Namespace) -> int:
+    if args.m < 1:  # the --standard table does not read M, so no later step would catch it
+        raise ValueError(f"M must be >= 1, got {args.m}")
     if args.standard or args.scaled:
         header = ["n", "nbar"] if args.standard else ["X", "Y"]
         # n * nbar = 60, so (n * M/12) * (nbar * M/5) = M**2

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -25,19 +24,6 @@ BAND_P322 = "p322"
 # closed angle band between the tablet's extreme rows: arctan(28/45) .. arctan(119/120)
 _P322_LOW = (28, 45)
 _P322_HIGH = (119, 120)
-
-
-@dataclass(frozen=True, slots=True)
-class SurveyRecord:
-    solution: GeneratorSolution
-    angle: tuple[int, int]  # reduced (a, b)
-    primitive: Triple
-    in_pi6_pi4: bool
-    in_p322: bool
-
-    @property
-    def triple(self) -> Triple:
-        return self.solution.triple
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,19 +67,6 @@ def _band_test(band: str):
         raise ValueError(f"unknown band {band!r}") from None
 
 
-def _record(sol: GeneratorSolution) -> SurveyRecord:
-    t = sol.triple
-    g = gcd(t.a, t.b)  # divides d too, since d**2 = a**2 + b**2
-    a, b = t.a // g, t.b // g
-    return SurveyRecord(
-        sol,
-        (a, b),
-        Triple(a, b, t.d // g),
-        _in_pi6_pi4(t.a, t.b),
-        _in_p322(t.a, t.b),
-    )
-
-
 def q_set(q_values: Iterable[int], m: int = 12) -> Sequence[int]:
     """The scale generators sorted and deduplicated; ValueError on bad input.
 
@@ -120,25 +93,21 @@ def _generators(b: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
             yield x, y
 
 
-def _solutions(qs: Iterable[int], m: int) -> Iterator[tuple[int, int, int]]:
-    """(q, x, y) for every solution over the checked scale generators, in (Q, x) order."""
-    for q in qs:
-        for x, y in _generators(m * q, 2, m * q):
-            yield q, x, y
-
-
 def _sides(qs: Iterable[int], m: int) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """(q, x, y, a, b, d) for every solution, each checked to be a right triangle."""
-    for q, x, y in _solutions(qs, m):
-        a, b, d = (y - x) // 2, m * q, (y + x) // 2
-        if a * a + b * b != d * d:
-            raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
-        yield q, x, y, a, b, d
+    """(q, x, y, a, b, d) for every solution over the checked scale generators, in
+    (Q, x) order, each checked to be a right triangle."""
+    for q in qs:
+        b = m * q
+        for x, y in _generators(b, 2, b):
+            a, d = (y - x) // 2, (y + x) // 2
+            if a * a + b * b != d * d:
+                raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
+            yield q, x, y, a, b, d
 
 
-def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[SurveyRecord]:
+def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[GeneratorSolution]:
     """All solutions for the given scale generators, ordered by (Q, x)."""
-    return [_record(solve_integer(x, q, m)) for q, x, _ in _solutions(q_set(q_values, m), m)]
+    return [solve_integer(x, q, m) for q, x, *_ in _sides(q_set(q_values, m), m)]
 
 
 # The class walk costs about 1 to 3 us per unit of m*hi whatever lo is; the
@@ -150,7 +119,7 @@ _CLASS_COST_RATIO = 16
 
 
 def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
-    """stats(enumerate_solutions(q_values, m)), counted without building records.
+    """stats(enumerate_solutions(q_values, m)), counted without building solutions.
 
     One range [lo, hi] with m*hi at most _CLASS_COST_RATIO times its length is
     counted from the primitive classes, whose cost grows with m*hi; any other
@@ -208,9 +177,11 @@ def _class_stats(lo: int, hi: int, m: int) -> SurveyStats:
     return SurveyStats(total, band, p322, distinct, distinct_band, distinct_p322)
 
 
-def band_filter(records: Iterable[SurveyRecord], band: str = BAND_FULL) -> list[SurveyRecord]:
+def band_filter(
+    solutions: Iterable[GeneratorSolution], band: str = BAND_FULL
+) -> list[GeneratorSolution]:
     keep = _band_test(band)
-    return [r for r in records if keep(*r.angle)]
+    return [s for s in solutions if keep(s.triple.a, s.triple.b)]
 
 
 def _tally(sides: Iterable[tuple[int, int]]) -> SurveyStats:
@@ -233,12 +204,12 @@ def _tally(sides: Iterable[tuple[int, int]]) -> SurveyStats:
     )
 
 
-def stats(records: Iterable[SurveyRecord]) -> SurveyStats:
-    """Survey counts over built records; the bands depend only on the reduced angle."""
-    return _tally(r.angle for r in records)
+def stats(solutions: Iterable[GeneratorSolution]) -> SurveyStats:
+    """Survey counts over built solutions."""
+    return _tally((s.triple.a, s.triple.b) for s in solutions)
 
 
-def p322_selection(records: Iterable[SurveyRecord]) -> list[Triple]:
+def p322_selection(solutions: Iterable[GeneratorSolution]) -> list[Triple]:
     """Triples in the tablet band that are primitive or 60 times a primitive.
 
     Applied to the tablet's own Q set this keeps one representative of each
@@ -246,24 +217,27 @@ def p322_selection(records: Iterable[SurveyRecord]) -> list[Triple]:
     (the one reducing to (175, 288, 337)).  Output in descending angle order.
     """
     kept = []
-    for r in records:
-        if not r.in_p322:
+    for s in solutions:
+        t = s.triple
+        if not _in_p322(t.a, t.b):
             continue
-        t = r.triple
-        if t == r.primitive or t == r.primitive.scaled(60):
+        p = primitive_reduce(t)
+        if t == p or t == p.scaled(60):
             kept.append(t)
     kept.sort(key=angle_fraction, reverse=True)
     return kept
 
 
-def rejected_p322_classes(records: Iterable[SurveyRecord]) -> list[Triple]:
+def rejected_p322_classes(solutions: Iterable[GeneratorSolution]) -> list[Triple]:
     """Angle classes in (pi/6, pi/4) that the tablet selection leaves out."""
-    records = list(records)
-    selected = {angle_fraction(t) for t in p322_selection(records)}
+    solutions = list(solutions)
+    selected = {angle_fraction(t) for t in p322_selection(solutions)}
     out: dict[tuple[int, int], Triple] = {}
-    for r in records:
-        if r.in_pi6_pi4 and Fraction(*r.angle) not in selected:
-            out.setdefault(r.angle, r.primitive)
+    for s in solutions:
+        t = s.triple
+        if _in_pi6_pi4(t.a, t.b) and angle_fraction(t) not in selected:
+            p = primitive_reduce(t)
+            out.setdefault((p.a, p.b), p)
     return [out[a] for a in sorted(out)]
 
 
@@ -300,9 +274,9 @@ def bin_count(bin_width_deg: float) -> int:
     return math.ceil(90.0 / bin_width_deg)
 
 
-def histogram(records: Iterable[SurveyRecord], bin_width_deg: float = 1.0) -> Histogram:
-    """Counts of records by angle over contiguous [low, high) bins spanning (0, 90)."""
-    return _histogram((theta_degrees(r.triple.a, r.triple.b) for r in records), bin_width_deg)
+def histogram(solutions: Iterable[GeneratorSolution], bin_width_deg: float = 1.0) -> Histogram:
+    """Counts of solutions by angle over contiguous [low, high) bins spanning (0, 90)."""
+    return _histogram((theta_degrees(s.triple.a, s.triple.b) for s in solutions), bin_width_deg)
 
 
 def _histogram(thetas: Iterable[float], bin_width_deg: float) -> Histogram:
@@ -327,12 +301,13 @@ def _csv_row(q, x, y, a, b, d, coeff, shift, pa, pb, pd, theta: float) -> str:
     return f"{q},{x},{y},{a},{b},{d},{coeff},{shift},{pa},{pb},{pd},{theta:.12f}\n"
 
 
-def write_records_csv(records: Iterable[SurveyRecord], fp: TextIO) -> None:
-    """Record export; the fourth-column cells are blank when the ratio has no
-    finite base-60 form (irregular Q)."""
+def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIO) -> None:
+    """One CSV row per solution; the fourth-column cells are blank when the ratio
+    has no finite base-60 form (irregular Q)."""
     fp.write(CSV_HEADER + "\n")
-    for r in records:
-        s, t, p = r.solution, r.triple, r.primitive
+    for s in solutions:
+        t = s.triple
+        p = primitive_reduce(t)
         coeff, shift = (s.fourth.coefficient, s.fourth.shift) if s.fourth else ("", "")
         theta = theta_degrees(t.a, t.b)
         fp.write(_csv_row(s.q, s.x, s.y, t.a, t.b, t.d, coeff, shift, p.a, p.b, p.d, theta))
@@ -347,7 +322,7 @@ def export(
 ) -> Histogram | None:
     """write_records_csv to fp (unless None) and return the histogram (unless the width
     is None) of band_filter(enumerate_solutions(q_values, m), band), in one pass over
-    the divisor stream that builds no record, so memory does not grow with the Q range."""
+    the divisor stream that builds no solution, so memory does not grow with the Q range."""
     qs = q_set(q_values, m)
     keep = _band_test(band)
 

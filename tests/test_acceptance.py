@@ -74,9 +74,8 @@ def test_c03_qtable_goldens():
         assert len(recs) == len(golden)
         for rec, line in zip(recs, golden):
             x, y, b, a, d, a2, fourth = line.split("\t")
-            s = rec.solution
             t = rec.triple
-            assert (s.x, s.y, t.b, t.a, t.d, t.a * t.a) == (
+            assert (rec.x, rec.y, t.b, t.a, t.d, t.a * t.a) == (
                 int(x), int(y), int(b), int(a), int(d), int(a2),
             )
             coeff, _, shift = fourth.partition("S-")
@@ -89,8 +88,8 @@ def test_c03_qtable_goldens():
     row14 = tablet.corrected_table()[13].fourth
     assert row14.coefficient == 20073222400  # the 25~48~51~... reading, not 25~48~59~...
     q288 = survey.enumerate_solutions([288])
-    rec = next(r for r in q288 if r.solution.x == 1458)
-    assert rec.solution.fourth.coefficient == 2657036484375  # not the garbled published column
+    rec = next(r for r in q288 if r.x == 1458)
+    assert rec.fourth.coefficient == 2657036484375  # not the garbled published column
     ok = total_rows == 614 and elapsed < 5.0
     assert _line(3, ok, f"13 Q-tables, {total_rows} rows, oracle-exact ({elapsed:.2f}s)")
     assert total_rows == 614
@@ -362,7 +361,8 @@ def test_c11_varying_m_finds_all_triples():
     # each class with L = b0 / gcd(b0, 12) <= 200 appears in the M = 12 survey at Q = L
     angles = {}
     for r in survey.enumerate_solutions(range(1, 201)):
-        angles.setdefault(r.solution.q, set()).add(r.angle)
+        p = survey.primitive_reduce(r.triple)
+        angles.setdefault(r.q, set()).add((p.a, p.b))
     ok &= all((a0, b0) in angles[b0 // gcd(b0, 12)] for a0, b0 in classes)
     elapsed = time.perf_counter() - t0
     assert _line(11, ok, f"all {len(brute)} triples with b <= 120 solve for every M*Q = b "

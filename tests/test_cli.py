@@ -208,7 +208,7 @@ def _refuse_divisor_walk(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("walked the divisors")
 
-    monkeypatch.setattr("maksarum.survey._solutions", refuse)
+    monkeypatch.setattr("maksarum.survey._generators", refuse)
 
 
 def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys):
@@ -376,6 +376,8 @@ def test_usage_errors():
     ["partitions", "--M", "0"],
     ["partitions", "--M", "-12"],
     ["partitions", "--scaled", "--M", "0"],
+    ["generate", "--Q", "5", "--Xmin", "03"],
+    ["generate", "--Q", "5", "--Xmax", "06"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -391,6 +393,8 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     (["partitions", "--M", "-12"], -12),
     (["partitions", "--scaled", "--M", "0"], 0),
     (["generate", "--bounded", "3", "--M", "0"], 0),
+    (["partitions", "--standard", "--M", "0"], 0),
+    (["partitions", "--standard", "--M", "-12"], -12),
 ])
 def test_bad_m_is_named(capsys, argv, m):
     assert main(argv) == 2

@@ -149,7 +149,7 @@ def test_bounded_pairs_are_the_integer_scheme_at_scale():
     pairs = enumerate_bounded(12, k)
     scaled_x = [p.x * scale for p in pairs]
     solutions = [
-        r.solution.x
+        r.x
         for r in enumerate_solutions([scale])
         if r.triple.a < r.triple.b  # the bounded table keeps theta < pi/4 only
     ]

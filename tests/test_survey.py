@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 import sympy
 
-from maksarum.factor import Triple
+from maksarum.factor import Triple, solve_integer
 from maksarum.survey import (
     BAND_FULL,
     BAND_P322,
@@ -46,37 +46,40 @@ def brute_force_triples(q, m=12):
 def test_enumerate_counts(q, count, first_x, last_x):
     recs = enumerate_solutions([q])
     assert len(recs) == count
-    assert recs[0].solution.x == first_x and recs[-1].solution.x == last_x
+    assert recs[0].x == first_x and recs[-1].x == last_x
 
 
 def test_q6_parity_exclusions():
-    xs = [r.solution.x for r in enumerate_solutions([6])]
+    xs = [r.x for r in enumerate_solutions([6])]
     assert 27 not in xs and 64 not in xs
     assert xs == [2, 4, 6, 8, 12, 16, 18, 24, 32, 36, 48, 54]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 10, 12, 18, 25, 30])
 def test_enumerate_matches_brute_force(q):
-    mine = sorted((r.triple.a, r.triple.b, r.triple.d) for r in enumerate_solutions([q]))
-    assert mine == brute_force_triples(q)
+    # the scan costs (m*q)**2 / 4 steps: about 0.2 s at m*q = 60*30
+    for m in (1, 5, 12, 60):
+        mine = sorted(r.triple.as_tuple() for r in enumerate_solutions([q], m))
+        assert mine == brute_force_triples(q, m), f"M = {m}"
 
 
 def test_all_records_are_valid_solutions():
     for r in enumerate_solutions(range(1, 51)):
         t = r.triple
-        s = r.solution
+        assert r == solve_integer(r.x, r.q, r.m)
         assert t.a**2 + t.b**2 == t.d**2
-        assert s.x * s.y == t.b**2
-        assert s.x < s.y and (s.y - s.x) % 2 == 0
-        assert t.a == (s.y - s.x) // 2 and t.d == (s.y + s.x) // 2
-        assert t.b == 12 * s.q
+        assert r.x * r.y == t.b**2
+        assert r.x < r.y and (r.y - r.x) % 2 == 0
+        assert t.a == (r.y - r.x) // 2 and t.d == (r.y + r.x) // 2
+        assert t.b == 12 * r.q
 
 
 def test_band_filters():
     recs = enumerate_solutions([10])
-    by_x = {r.solution.x: r for r in recs}
-    assert by_x[50].in_pi6_pi4 and by_x[50].in_p322  # (119, 120, 169)
-    assert not by_x[2].in_pi6_pi4  # (3599, 120, 3601) has a > b
+    by_x = {r.x: r for r in recs}
+    pi6_pi4, p322 = band_filter(recs, BAND_PI6_PI4), band_filter(recs, BAND_P322)
+    assert by_x[50] in pi6_pi4 and by_x[50] in p322  # (119, 120, 169)
+    assert by_x[2] not in pi6_pi4  # (3599, 120, 3601) has a > b
     assert len(band_filter(recs, BAND_PI6_PI4)) >= len(band_filter(recs, BAND_P322))
     with pytest.raises(ValueError, match="unknown band"):
         band_filter(recs, "pi")
@@ -86,10 +89,10 @@ def test_band_filters():
 
 def test_sixteenth_class_band_membership():
     recs = enumerate_solutions([288])
-    rec = next(r for r in recs if r.solution.x == 1944)
+    rec = next(r for r in recs if r.x == 1944)
     assert rec.triple == Triple(2100, 3456, 4044)
-    assert rec.in_pi6_pi4 and not rec.in_p322
-    assert rec.primitive == Triple(175, 288, 337)
+    assert rec in band_filter(recs, BAND_PI6_PI4) and rec not in band_filter(recs, BAND_P322)
+    assert primitive_reduce(rec.triple) == Triple(175, 288, 337)
 
 
 def test_stats_consistency():
@@ -198,7 +201,7 @@ def test_q_set_keeps_a_step_one_range():
 
 def test_enumerate_other_bundling_factors():
     recs = enumerate_solutions([6], m=1)
-    assert [(r.solution.x, r.solution.y) for r in recs] == [(2, 18)]
+    assert [(r.x, r.y) for r in recs] == [(2, 18)]
     assert recs[0].triple == Triple(8, 6, 10)
     # the factor-3 and factor-60 readings cover the same triples
     t3 = {r.triple.as_tuple() for r in enumerate_solutions([40], m=3)}
@@ -263,7 +266,7 @@ def test_count_stats_picks_a_path_from_m_and_the_range(monkeypatch, m, lo, hi, b
     def refuse(*args, **kwargs):
         raise AssertionError("took the other path")
 
-    monkeypatch.setattr("maksarum.survey._solutions" if by_class else "maksarum.survey._class_stats",
+    monkeypatch.setattr("maksarum.survey._generators" if by_class else "maksarum.survey._class_stats",
                         refuse)
     assert count_stats(range(lo, hi + 1), m) == want
 
