@@ -8,9 +8,9 @@ sqrt(pi/3).  Decimal results carry 30 significant digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from .sexagesimal import Sexagesimal
 
@@ -26,8 +26,7 @@ def pi_decimal() -> Decimal:
         return +Decimal(_PI_50)
 
 
-@dataclass(frozen=True, slots=True)
-class PiApproximation:
+class PiApproximation(NamedTuple):
     digits: Sexagesimal  # 3 followed by k fractional sexagesits, truncated
     k: int
     error: Decimal  # pi minus the truncation, always in [0, 60**-k)

@@ -63,8 +63,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             text = tablet.to_tsv()
             fp.write(text.replace("\t", ",") if args.format == "csv" else text)
             return 0 if all(r.ok for r in reports) else 1
+        rows = tablet.corrected_table()
         for rep in reports:
-            row = tablet.corrected_table()[rep.index - 1]
+            row = rows[rep.index - 1]
             t = row.triple
             f = row.fourth
             status = "PASS" if rep.ok else "FAIL"
@@ -178,9 +179,13 @@ def _quotient(num: int, den: int, digits: int) -> str:
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
+    # reject ignored options and a bad width before any work or output
+    if not (args.report or args.out or args.histogram_out):
+        raise ValueError("survey needs --report, --out or --histogram-out")
+    if args.band != survey.BAND_FULL and not (args.out or args.histogram_out):
+        raise ValueError("--band applies only to --out and --histogram-out")
+    survey.bin_count(args.bin_width)
     qs = survey.q_set(_parse_q_selector(args), m=args.m)
-    if args.histogram_out:
-        survey.bin_count(args.bin_width)  # reject a bad width before any work or output
     if args.report:
         s = survey.count_stats(qs, m=args.m)
         print(f"{s.total} {s.pi6_pi4} {s.p322} / {s.distinct_total} {s.distinct_pi6_pi4} {s.distinct_p322}")

@@ -9,9 +9,9 @@ as an integer coefficient times a power of 60.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .sexagesimal import IrregularError, regular_power
 
@@ -32,19 +32,22 @@ class DegenerateError(GeneratorError):
     """x >= M*Q: zero or mirrored short side."""
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple("Triple", [("a", int), ("b", int), ("d", int)])):
     """Integer right-triangle sides with a**2 + b**2 == d**2."""
 
-    a: int
-    b: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.a, self.b, self.d) < 1:
+    def __new__(cls, a: int, b: int, d: int):
+        self = super().__new__(cls, a, b, d)
+        if min(a, b, d) < 1:
             raise ValueError(f"sides must be >= 1, got {self}")
-        if self.a**2 + self.b**2 != self.d**2:
-            raise ValueError(f"not a right triangle: {self.a}^2 + {self.b}^2 != {self.d}^2")
+        if a**2 + b**2 != d**2:
+            raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # _replace goes through here: keep the checks
+        return cls(*iterable)
 
     def scaled(self, k: int) -> "Triple":
         return Triple(self.a * k, self.b * k, self.d * k)
@@ -53,8 +56,7 @@ class Triple:
         return (self.a, self.b, self.d)
 
 
-@dataclass(frozen=True, slots=True)
-class FourthColumn:
+class FourthColumn(NamedTuple):
     """Exact ratio column value a**2/b**2 = coefficient * 60**-shift, shift minimal.
 
     The diagonal reading d**2/b**2 is this plus 1, at the same shift.
@@ -87,8 +89,7 @@ def fourth_column(t: Triple) -> FourthColumn:
     return FourthColumn(num * 60**n // den, n)
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorSolution:
+class GeneratorSolution(NamedTuple):
     """One integer solution: generator pair (x, y), scale Q, bundling factor M."""
 
     x: int

@@ -7,7 +7,6 @@ of all pairs representable within a fractional-digit budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt
 from typing import NamedTuple
@@ -43,21 +42,23 @@ def standard_table() -> list[ReciprocalPair]:
     return [ReciprocalPair(parse(n), parse(nbar)) for n, nbar in _STANDARD]
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorPair:
+class GeneratorPair(NamedTuple("GeneratorPair", [("x", Fraction), ("y", Fraction), ("m", int)])):
     """A partition X * Y = M**2 with both parts finite base-60 fractions."""
 
-    x: Fraction
-    y: Fraction
-    m: int = 12
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"M must be >= 1, got {self.m}")
-        if self.x <= 0 or self.y <= 0:
-            raise ValueError(f"partition parts must be positive: {self.x}, {self.y}")
-        if self.x * self.y != self.m * self.m:
-            raise ValueError(f"contract violation: {self.x} * {self.y} != {self.m}**2")
+    def __new__(cls, x: Fraction, y: Fraction, m: int = 12):
+        if m < 1:
+            raise ValueError(f"M must be >= 1, got {m}")
+        if x <= 0 or y <= 0:
+            raise ValueError(f"partition parts must be positive: {x}, {y}")
+        if x * y != m * m:
+            raise ValueError(f"contract violation: {x} * {y} != {m}**2")
+        return super().__new__(cls, x, y, m)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace goes through here: keep the checks
+        return cls(*iterable)
 
 
 def scale_to_partition(pair: ReciprocalPair, u: Fraction, v: Fraction, m: int = 12) -> GeneratorPair:

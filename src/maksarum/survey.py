@@ -9,9 +9,8 @@ histogram binning and display columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, solve_integer
 from .ntheory import divisors_from_factors, factorize
@@ -26,8 +25,7 @@ _P322_LOW = (28, 45)
 _P322_HIGH = (119, 120)
 
 
-@dataclass(frozen=True, slots=True)
-class SurveyStats:
+class SurveyStats(NamedTuple):
     total: int
     pi6_pi4: int
     p322: int
@@ -250,8 +248,7 @@ def theta_degrees(a: int, b: int) -> float:
 _MAX_BINS = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class Histogram:
+class Histogram(NamedTuple):
     bin_width: float
     bins: tuple[tuple[float, float, int], ...]  # (low, high, count), [low, high)
 

@@ -8,8 +8,8 @@ recompute everything from generators and check the stored data exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .factor import FourthColumn, Triple, fourth_column, solve_integer
 from .ntheory import is_prime
@@ -25,8 +25,7 @@ ERROR_SCALE_ROW15 = "scale_row15"
 SET_C = frozenset({1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 49, 53, 59})
 
 
-@dataclass(frozen=True, slots=True)
-class TabletRow:
+class TabletRow(NamedTuple):
     index: int
     q: int
     triple: Triple
@@ -90,8 +89,7 @@ def p322_q_set() -> list[int]:
     return sorted({row.q for row in _TABLE})
 
 
-@dataclass(frozen=True, slots=True)
-class FieldCheck:
+class FieldCheck(NamedTuple):
     field: str
     expected: object
     got: object
@@ -101,8 +99,7 @@ class FieldCheck:
         return self.expected == self.got
 
 
-@dataclass(frozen=True, slots=True)
-class RowReport:
+class RowReport(NamedTuple):
     index: int
     checks: tuple[FieldCheck, ...]
 
@@ -141,8 +138,7 @@ def reconstruct_all() -> list[RowReport]:
     return [reconstruct(row) for row in _TABLE]
 
 
-@dataclass(frozen=True, slots=True)
-class ErrorModel:
+class ErrorModel(NamedTuple):
     index: int
     kind: str
     description: str
@@ -207,16 +203,14 @@ def row15_repairs() -> list[tuple[str, Triple]]:
     ]
 
 
-@dataclass(frozen=True, slots=True)
-class CongruenceLine:
+class CongruenceLine(NamedTuple):
     index: int
     residues: tuple[int, int, int]  # [a], [b], [d] mod 60
     identity_holds: bool
     in_set_c: int  # how many of [a], [d] lie in SET_C
 
 
-@dataclass(frozen=True, slots=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     lines: tuple[CongruenceLine, ...]
 
     @property
@@ -249,15 +243,13 @@ def congruence_report() -> CongruenceReport:
     return CongruenceReport(tuple(lines))
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeLine:
+class PrimeLine(NamedTuple):
     index: int
     a_prime: bool
     d_prime: bool
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeReport:
+class PrimeReport(NamedTuple):
     lines: tuple[PrimeLine, ...]
     raw_row15_d: int
     raw_row15_d_prime: bool

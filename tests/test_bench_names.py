@@ -1,22 +1,59 @@
-"""Every function perfbench/child.py wraps by name still exists in the package.
+"""What a fresh ``import maksarum.cli`` loads: every traced name, and no more.
 
-A traced benchmark run (``perfbench/run.py --trace 1``) replaces each
-``(module, attribute)`` in ``WRAPPED`` with a timing wrapper, so a name that
-a refactor deletes or moves would crash every traced run.
+A traced benchmark run (``perfbench/run.py --trace 1``) imports
+``maksarum.cli`` and then replaces each ``(module, attribute)`` in
+perfbench/child.py's ``WRAPPED`` with a timing wrapper, looking the module up
+in ``sys.modules``.  So each such module must be loaded by that one import,
+and each name must exist in it: a name that a refactor deletes or moves, or a
+module that the CLI stops importing at start-up, would crash every traced
+run.  The same import must stay lean, since every CLI start pays it.
 """
 
-import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-CHILD = Path(__file__).parent.parent / "perfbench" / "child.py"
+import pytest
+
+ROOT = Path(__file__).parent.parent
+CHILD = ROOT / "perfbench" / "child.py"
+
+PROBE = """
+import json, sys
+import maksarum.cli
+print(json.dumps({
+    "modules": sorted(sys.modules),
+    "unresolved": [
+        f"maksarum.{module}.{attr}" for module, attr in json.loads(sys.argv[1])
+        if not callable(getattr(sys.modules.get("maksarum." + module), attr, None))
+    ],
+}))
+"""
 
 
-def test_traced_names_resolve():
+@pytest.fixture(scope="module")
+def cli_import():
+    """sys.modules and the unresolved WRAPPED names after importing maksarum.cli in a fresh process."""
     spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
     assert child.WRAPPED
-    for module_name, attr, _, _ in child.WRAPPED:
-        module = importlib.import_module("maksarum." + module_name)
-        assert callable(getattr(module, attr, None)), f"maksarum.{module_name}.{attr}"
+    wrapped = [(module, attr) for module, attr, _, _ in child.WRAPPED]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(wrapped)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return json.loads(proc.stdout)
+
+
+def test_traced_names_resolve(cli_import):
+    assert cli_import["unresolved"] == []
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_cli_import_leaves_out(cli_import, module):
+    assert module not in cli_import["modules"]

@@ -378,11 +378,17 @@ def test_usage_errors():
     ["partitions", "--scaled", "--M", "0"],
     ["generate", "--Q", "5", "--Xmin", "03"],
     ["generate", "--Q", "5", "--Xmax", "06"],
+    ["survey", "--Q", "5"],
+    ["survey", "--Q", "5", "--band", "p322"],
+    ["survey", "--Q", "5", "--band", "pi6_pi4", "--report"],
+    ["survey", "--Q", "5", "--report", "--bin-width", "0"],
+    ["survey", "--Q-range", "1:5", "--report", "--bin-width", "nan"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any work or output
     assert err.startswith("maksarum: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # bad input writes no output file
