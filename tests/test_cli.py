@@ -294,6 +294,19 @@ def test_survey_csv_and_histogram(tmp_path, capsys):
     assert sum(int(line.split(",")[2]) for line in hist[1:]) == 22
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("survey_1_40", ["--Q-range", "1:40", "--bin-width", "2.5"]),
+    ("survey_m77_1_30_pi6_pi4", ["--M", "77", "--Q-range", "1:30", "--band", "pi6_pi4"]),
+])
+def test_survey_export_goldens(tmp_path, capsys, golden, argv):
+    # byte-for-byte: an oracle independent of write_records_csv and theta_degrees
+    csv_path, hist_path = tmp_path / "records.csv", tmp_path / "hist.csv"
+    code, out = run(capsys, "survey", *argv, "--out", str(csv_path), "--histogram-out", str(hist_path))
+    assert (code, out) == (0, "")
+    assert csv_path.read_bytes() == (GOLDEN / f"{golden}.csv").read_bytes()
+    assert hist_path.read_bytes() == (GOLDEN / f"{golden}_hist.csv").read_bytes()
+
+
 def test_survey_full_range_report_and_histogram(tmp_path, capsys):
     hist_path = tmp_path / "full.csv"
     code, out = run(capsys, "survey", "--Q-range", "1:1125", "--report",

@@ -276,19 +276,47 @@ def test_count_stats_with_no_solutions(m):
     assert count_stats([1], m) == SurveyStats(0, 0, 0, 0, 0, 0)
 
 
+def _check_export(qs, m, band, width):
+    """export with the CSV, the histogram, both or neither on, against the record path."""
+    kept = band_filter(enumerate_solutions(qs, m), band)
+    want_csv, want_hist = io.StringIO(), io.StringIO()
+    write_records_csv(kept, want_csv)
+    histogram(kept, width).write_csv(want_hist)
+    got_csv, got_hist = io.StringIO(), io.StringIO()
+    export(qs, m, band, got_csv, width).write_csv(got_hist)
+    assert got_csv.getvalue() == want_csv.getvalue()
+    assert got_hist.getvalue() == want_hist.getvalue()
+    csv_only, hist_only = io.StringIO(), io.StringIO()
+    assert export(qs, m, band, csv_only, None) is None
+    assert csv_only.getvalue() == want_csv.getvalue()
+    export(qs, m, band, None, width).write_csv(hist_only)
+    assert hist_only.getvalue() == want_hist.getvalue()
+    assert export(qs, m, band, None, None) is None
+
+
 @pytest.mark.parametrize("band", [BAND_FULL, BAND_PI6_PI4, BAND_P322])
 @pytest.mark.parametrize("m", [1, 3, 7, 12, 60])
 @pytest.mark.parametrize("qs", [[1], range(1, 41), range(281, 301), [7, 225, 288, 1125]])
 def test_export_matches_the_records(qs, m, band):
-    kept = band_filter(enumerate_solutions(qs, m), band)
-    want_csv, want_hist = io.StringIO(), io.StringIO()
-    write_records_csv(kept, want_csv)
-    histogram(kept, 2.5).write_csv(want_hist)
-    got_csv, got_hist = io.StringIO(), io.StringIO()
-    export(qs, m, band, got_csv, 2.5).write_csv(got_hist)
-    assert got_csv.getvalue() == want_csv.getvalue()
-    assert got_hist.getvalue() == want_hist.getvalue()
-    assert export(qs, m, band, None, None) is None
+    _check_export(qs, m, band, 2.5)
+
+
+@pytest.mark.parametrize("width", [0.37, 7, 100])  # 100 is one bin, so every angle is clamped into it
+@pytest.mark.parametrize("band", [BAND_FULL, BAND_P322])
+def test_export_matches_the_records_at_other_widths(band, width):
+    _check_export(range(1, 41), 12, band, width)
+
+
+@pytest.mark.parametrize("band", [BAND_FULL, BAND_PI6_PI4, BAND_P322])
+def test_export_irregular_legs_with_repeated_primes(band):
+    # b = 77*Q has the primes 7 and 11 to powers up to 3, so the fourth column
+    # turns on whether the leg a carries all of them, not just each prime once;
+    # Q = 60 and 420 add the 5-smooth part that some rows reduce to
+    _check_export([7, 11, 49, 60, 121, 420, 539], 77, band, 1.0)
+
+
+def test_export_matches_the_records_on_a_benchmark_window():
+    _check_export(range(5, 1505), 12, BAND_FULL, 1.0)
 
 
 @pytest.mark.parametrize("m", [1, 2])
