@@ -9,12 +9,12 @@ histogram binning and display columns.
 from __future__ import annotations
 
 import math
-from math import gcd, isqrt
+from math import atan2, degrees, gcd, isqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, solve_integer
 from .ntheory import divisors_from_factors, factorize
-from .sexagesimal import BASE, IrregularError, regular_power
+from .sexagesimal import BASE, regular_power
 
 BAND_FULL = "full"
 BAND_PI6_PI4 = "pi6_pi4"
@@ -241,7 +241,7 @@ def rejected_p322_classes(solutions: Iterable[GeneratorSolution]) -> list[Triple
 
 def theta_degrees(a: int, b: int) -> float:
     """Display-only angle in degrees of the legs (a, b)."""
-    return math.degrees(math.atan2(a, b))
+    return degrees(atan2(a, b))
 
 
 # each bin costs one list slot, one (low, high, count) tuple and one CSV line
@@ -273,29 +273,21 @@ def bin_count(bin_width_deg: float) -> int:
 
 def histogram(solutions: Iterable[GeneratorSolution], bin_width_deg: float = 1.0) -> Histogram:
     """Counts of solutions by angle over contiguous [low, high) bins spanning (0, 90)."""
-    return _histogram((theta_degrees(s.triple.a, s.triple.b) for s in solutions), bin_width_deg)
+    last = bin_count(bin_width_deg) - 1
+    counts = [0] * (last + 1)
+    for s in solutions:
+        counts[min(int(theta_degrees(s.triple.a, s.triple.b) // bin_width_deg), last)] += 1
+    return _binned(counts, bin_width_deg)
 
 
-def _histogram(thetas: Iterable[float], bin_width_deg: float) -> Histogram:
-    """Counts of the angles (degrees) over contiguous [low, high) bins spanning (0, 90)."""
-    nbins = bin_count(bin_width_deg)
-    counts = [0] * nbins
-    for theta in thetas:
-        counts[min(int(theta // bin_width_deg), nbins - 1)] += 1
-    bins = tuple(
-        (i * bin_width_deg, (i + 1) * bin_width_deg, counts[i]) for i in range(nbins)
-    )
-    return Histogram(bin_width_deg, bins)
+def _binned(counts: list[int], width: float) -> Histogram:
+    return Histogram(width, tuple((i * width, (i + 1) * width, c) for i, c in enumerate(counts)))
 
 
 CSV_HEADER = (
     "Q,x,y,a,b,d,fourth_coefficient,fourth_shift,"
     "primitive_a,primitive_b,primitive_d,theta_deg"
 )
-
-
-def _csv_row(q, x, y, a, b, d, coeff, shift, pa, pb, pd, theta: float) -> str:
-    return f"{q},{x},{y},{a},{b},{d},{coeff},{shift},{pa},{pb},{pd},{theta:.12f}\n"
 
 
 def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIO) -> None:
@@ -306,43 +298,50 @@ def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIO) -> Non
         t = s.triple
         p = primitive_reduce(t)
         coeff, shift = (s.fourth.coefficient, s.fourth.shift) if s.fourth else ("", "")
-        theta = theta_degrees(t.a, t.b)
-        fp.write(_csv_row(s.q, s.x, s.y, t.a, t.b, t.d, coeff, shift, p.a, p.b, p.d, theta))
+        fp.write(f"{s.q},{s.x},{s.y},{t.a},{t.b},{t.d},{coeff},{shift},"
+                 f"{p.a},{p.b},{p.d},{theta_degrees(t.a, t.b):.12f}\n")
 
 
-def export(
-    q_values: Iterable[int],
-    m: int,
-    band: str,
-    fp: TextIO | None,
-    bin_width_deg: float | None,
-) -> Histogram | None:
+def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
+           bin_width_deg: float | None) -> Histogram | None:
     """write_records_csv to fp (unless None) and return the histogram (unless the width
-    is None) of band_filter(enumerate_solutions(q_values, m), band), in one pass over
-    the divisor stream that builds no solution, so memory does not grow with the Q range."""
+    is None) of band_filter(enumerate_solutions(q_values, m), band), in one loop over
+    the divisor stream that builds no solution.  With r the part of b = m*Q prime to
+    60, the primitive leg pb = b/gcd(a, b) is regular iff r divides a; the fourth
+    column's (shift, 60**shift // pb**2) is kept per regular pb only, a few hundred
+    5-smooth legs even at Q up to 10**5, so memory does not grow with the Q range."""
     qs = q_set(q_values, m)
-    keep = _band_test(band)
-
-    def thetas() -> Iterator[float]:
-        if fp is not None:
-            fp.write(CSV_HEADER + "\n")
-        for q, x, y, a, b, d in _sides(qs, m):
-            if not keep(a, b):
-                continue
-            theta = theta_degrees(a, b)
-            if fp is not None:
-                g = gcd(a, b)  # divides d too
-                pa, pb = a // g, b // g
-                try:  # (pa/pb)**2 is a**2/b**2 in lowest terms, so the minimal shift is the same
-                    shift = regular_power(pb * pb)
-                    coeff = pa * pa * BASE**shift // (pb * pb)
-                except IrregularError:
-                    coeff = shift = ""
-                fp.write(_csv_row(q, x, y, a, b, d, coeff, shift, pa, pb, d // g, theta))
-            yield theta
-
-    if bin_width_deg is None:
-        for _ in thetas():
-            pass
-        return None
-    return _histogram(thetas(), bin_width_deg)
+    keep = None if band == BAND_FULL else _band_test(band)
+    if bin_width_deg is not None:
+        last = bin_count(bin_width_deg) - 1
+        counts = [0] * (last + 1)
+    if fp is not None:
+        write = fp.write
+        write(CSV_HEADER + "\n")
+    regular: dict[int, tuple[int, int]] = {}
+    q_now = None
+    for q, x, y, a, b, d in _sides(qs, m):
+        if keep is not None and not keep(a, b):
+            continue
+        theta = degrees(atan2(a, b))  # theta_degrees(a, b)
+        if bin_width_deg is not None:
+            i = int(theta // bin_width_deg)
+            counts[i if i < last else last] += 1
+        if fp is None:
+            continue
+        if q != q_now:  # once per Q: r, and the text of q and b
+            q_now, r, q_text, b_text = q, b, f"{q},", f",{b},"
+            while (g := gcd(r, BASE)) > 1:
+                r //= g
+        g = gcd(a, b)  # divides d too
+        pa, pb = a // g, b // g
+        if a % r:  # pb keeps a prime above 5: no finite base-60 form
+            coeff = shift = ""
+        else:  # (pa/pb)**2 is a**2/b**2 in lowest terms, so the minimal shift is the same
+            if pb not in regular:
+                shift = regular_power(pb * pb)
+                regular[pb] = shift, BASE**shift // (pb * pb)
+            shift, mult = regular[pb]
+            coeff = pa * pa * mult
+        write(f"{q_text}{x},{y},{a}{b_text}{d},{coeff},{shift},{pa},{pb},{d // g},{theta:.12f}\n")
+    return None if bin_width_deg is None else _binned(counts, bin_width_deg)
