@@ -10,6 +10,7 @@ sexagesimal; --decimal switches to the decimal forms the source tables use.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
@@ -17,19 +18,15 @@ from math import gcd
 from typing import Sequence, TextIO
 
 from . import circle, partitions, survey, tablet
-from .factor import Triple, fourth_column
+from .factor import fourth_column
 from .sexagesimal import IrregularError, Sexagesimal, parse as parse_number, regular_power, to_string
 
 
 def _emit(header: list[str], rows: list[list[str]], fmt: str, fp: TextIO) -> None:
-    if fmt == "csv":
-        fp.write(",".join(header) + "\n")
-        for row in rows:
-            fp.write(",".join(row) + "\n")
-    elif fmt == "tsv":
-        fp.write("\t".join(header) + "\n")
-        for row in rows:
-            fp.write("\t".join(row) + "\n")
+    if fmt in ("csv", "tsv"):
+        sep = "," if fmt == "csv" else "\t"
+        for row in [header, *rows]:
+            fp.write(sep.join(row) + "\n")
     else:
         widths = [
             max(len(header[i]), max((len(r[i]) for r in rows), default=0))
@@ -119,27 +116,19 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], list[list[st
 
 
 def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], list[list[str]]]:
-    # each pair is (x, y) / 60**k for an integer solution (x, y) against b = m * 60**k
-    b, lo, hi = partitions._bounded_window(m, k, x_range)
-    solutions = survey._generators(b, lo, hi)
+    # each pair is (x, y) / 60**k for an integer solution (x, y, a, b, d) at Q = 60**k
+    sides = partitions._bounded_sides(m, k, x_range)
     rows = []
     if decimal:
         header = ["place", "b", "d", "a", "ratio"]
-        for place, (x, y) in enumerate(solutions, 1):
-            a = (y - x) // 2
+        for place, (_, _, _, a, b, d) in enumerate(sides, 1):
             g = gcd(a, b)  # divides d too
-            t = Triple(a // g, b // g, (y + x) // 2 // g)
-            rows.append(
-                [str(place), str(t.b), str(t.d), str(t.a), _ratio_15g(t.a * t.a, t.b * t.b)]
-            )
+            a, b = a // g, b // g
+            rows.append([str(place), str(b), str(d // g), str(a), _ratio_15g(a * a, b * b)])
         return header, rows
     header = ["place", "X", "Y", "A", "D"]
-    bsq = b * b
-    for place, (x, y) in enumerate(solutions, 1):
-        if x * y != bsq:
-            raise ValueError(f"contract violation: {x} * {y} != {b}**2")
-        cells = (x, y, (y - x) // 2, (y + x) // 2)
-        rows.append([str(place)] + [to_string(Sexagesimal(v, k)) for v in cells])
+    for place, (_, x, y, a, _, d) in enumerate(sides, 1):
+        rows.append([str(place)] + [to_string(Sexagesimal(v, k)) for v in (x, y, a, d)])
     return header, rows
 
 
@@ -184,6 +173,9 @@ def cmd_survey(args: argparse.Namespace) -> int:
         raise ValueError("survey needs --report, --out or --histogram-out")
     if args.band != survey.BAND_FULL and not (args.out or args.histogram_out):
         raise ValueError("--band applies only to --out and --histogram-out")
+    files = [os.path.realpath(path) for path in (args.out, args.histogram_out) if path and path != "-"]
+    if len(files) == 2 and files[0] == files[1]:
+        raise ValueError(f"--out {args.out} and --histogram-out {args.histogram_out} are one file")
     survey.bin_count(args.bin_width)
     qs = survey.q_set(_parse_q_selector(args), m=args.m)
     if args.report:

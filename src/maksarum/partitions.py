@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor, isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import survey
 from .factor import Triple, derive_q, normalized_sides
@@ -102,13 +102,12 @@ def step_by_s(g: GeneratorPair, s: Fraction) -> GeneratorPair:
     return step(g, s * g.x / k)
 
 
-def _bounded_window(
+def _bounded_sides(
     m: int, max_frac_digits: int, x_range: tuple[Fraction, Fraction] | None
-) -> tuple[int, int, int]:
-    """(b, lo, hi): the pairs within the digit budget are survey._generators(b, lo, hi).
-
-    b = m * 60**max_frac_digits, and each pair is (x, y) / 60**max_frac_digits.
-    """
+) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """survey._sides at Q = 60**max_frac_digits over the window of the pairs within
+    the digit budget; each pair is (x, y) / 60**max_frac_digits.  M, the budget and
+    the X range are checked when this is called, before any pair is made."""
     if m < 1:
         raise ValueError(f"M must be >= 1, got {m}")
     if max_frac_digits < 0:
@@ -122,7 +121,7 @@ def _bounded_window(
         if xmin > xmax:
             raise ValueError(f"empty X range: Xmin {xmin} is above Xmax {xmax}")
         lo, hi = max(lo, ceil(xmin * scale)), min(hi, floor(xmax * scale) + 1)
-    return b, lo, hi
+    return survey._sides([scale], m, lo, hi)
 
 
 def enumerate_bounded(
@@ -141,12 +140,9 @@ def enumerate_bounded(
     gives 59 pairs, of which the historical 51-row table omits eight (see
     tests/test_acceptance.py::test_c04b_bounded_table_row_count_as_stated).
     """
-    b, lo, hi = _bounded_window(m, max_frac_digits, x_range)
+    sides = _bounded_sides(m, max_frac_digits, x_range)
     scale = 60**max_frac_digits
-    return [
-        GeneratorPair(Fraction(x, scale), Fraction(y, scale), m)
-        for x, y in survey._generators(b, lo, hi)
-    ]
+    return [GeneratorPair(Fraction(x, scale), Fraction(y, scale), m) for _, x, y, *_ in sides]
 
 
 def partition_table(m: int = 12) -> list[tuple[int | None, GeneratorPair, Fraction, Fraction]]:

@@ -382,7 +382,4 @@ def reciprocal(x: Sexagesimal) -> PlaceValue:
     """
     if x.is_zero:
         raise SexagesimalError("zero has no reciprocal")
-    v = x.value
-    if not is_regular(v.numerator):
-        raise IrregularError(f"irregular number: {v.numerator} has no finite base-60 reciprocal")
-    return PlaceValue(1 / v)
+    return PlaceValue(1 / x.value)

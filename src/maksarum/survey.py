@@ -82,23 +82,23 @@ def q_set(q_values: Iterable[int], m: int = 12) -> Sequence[int]:
     return qs
 
 
-def _generators(b: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """(x, y = b**2/x) for the divisors lo <= x < hi of b**2 with y - x even, ascending."""
-    bsq = b * b
-    for x in divisors_from_factors({p: 2 * e for p, e in factorize(b).items()}, lo, hi):
-        y = bsq // x
-        if not (y - x) % 2:
-            yield x, y
-
-
-def _sides(qs: Iterable[int], m: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+def _sides(
+    qs: Iterable[int], m: int, lo: int = 2, hi: int | None = None
+) -> Iterator[tuple[int, int, int, int, int, int]]:
     """(q, x, y, a, b, d) for every solution over the checked scale generators, in
-    (Q, x) order, each checked to be a right triangle."""
+    (Q, x) order: b = m*Q, the divisors lo <= x < hi of b**2 (hi None: b) with
+    y = b**2/x of x's parity, a = (y - x)/2 and d = (y + x)/2, each checked to be
+    a right triangle."""
     for q in qs:
         b = m * q
-        for x, y in _generators(b, 2, b):
+        bsq = b * b
+        for x in divisors_from_factors({p: 2 * e for p, e in factorize(b).items()},
+                                       lo, b if hi is None else hi):
+            y = bsq // x
+            if (y - x) % 2:
+                continue
             a, d = (y - x) // 2, (y + x) // 2
-            if a * a + b * b != d * d:
+            if a * a + bsq != d * d:
                 raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
             yield q, x, y, a, b, d
 

@@ -208,7 +208,7 @@ def _refuse_divisor_walk(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("walked the divisors")
 
-    monkeypatch.setattr("maksarum.survey._generators", refuse)
+    monkeypatch.setattr("maksarum.survey._sides", refuse)
 
 
 def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys):
@@ -396,6 +396,8 @@ def test_usage_errors():
     ["survey", "--Q", "5", "--band", "pi6_pi4", "--report"],
     ["survey", "--Q", "5", "--report", "--bin-width", "0"],
     ["survey", "--Q-range", "1:5", "--report", "--bin-width", "nan"],
+    ["survey", "--Q", "5", "--out", "F", "--histogram-out", "F"],
+    ["survey", "--Q", "5", "--out", "F", "--histogram-out", "./F"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -124,6 +124,8 @@ def test_reciprocal_table_pairs(x, mantissa):
 def test_reciprocal_errors():
     with pytest.raises(IrregularError, match="irregular"):
         reciprocal(Sexagesimal(7))
+    with pytest.raises(IrregularError, match="irregular"):
+        reciprocal(parse("00.~07"))  # 7/60, a fraction whose reciprocal 60/7 is irregular
     with pytest.raises(ValueError):
         reciprocal(Sexagesimal(0))
 

@@ -241,6 +241,29 @@ def test_count_stats_matches_the_records(m, qs):
     assert count_stats(qs, m) == stats(enumerate_solutions(qs, m))
 
 
+@pytest.mark.parametrize("q", [1, 7, 60**3])
+@pytest.mark.parametrize("m", [1, 7, 12])
+def test_windowed_sides_match_sympy(q, m):
+    b = m * q
+    divisors = sympy.divisors(b * b)
+    windows = {
+        "default": (2, b),
+        "theta below pi/4": (isqrt(2 * b * b) - b + 1, b),
+        "empty": (b, b),
+    }
+    below = [x for x in divisors if x < b]
+    if below:
+        windows["one divisor"] = (below[-1], below[-1] + 1)
+    for name, (lo, hi) in windows.items():
+        want = [
+            (q, x, b * b // x, (b * b // x - x) // 2, b, (b * b // x + x) // 2)
+            for x in divisors
+            if lo <= x < hi and (b * b // x - x) % 2 == 0
+        ]
+        assert list(_sides([q], m, lo, hi)) == want, name
+    assert list(_sides([q], m)) == list(_sides([q], m, 2, b))
+
+
 @pytest.mark.parametrize("m,lo,hi", [
     (m, lo, hi)
     for m in (1, 2, 3, 5, 7, 12, 60)
@@ -266,7 +289,7 @@ def test_count_stats_picks_a_path_from_m_and_the_range(monkeypatch, m, lo, hi, b
     def refuse(*args, **kwargs):
         raise AssertionError("took the other path")
 
-    monkeypatch.setattr("maksarum.survey._generators" if by_class else "maksarum.survey._class_stats",
+    monkeypatch.setattr("maksarum.survey._sides" if by_class else "maksarum.survey._class_stats",
                         refuse)
     assert count_stats(range(lo, hi + 1), m) == want
 
