@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
@@ -45,6 +46,20 @@ def _output(path: str | None):
     else:
         with open(path, "w", encoding="utf-8") as fp:
             yield fp
+
+
+def _decimal(text: str, what: str = "integer") -> int:
+    """int(text) for an optional sign and the ASCII digits only; int() also reads "1_0" and "١٢"."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"bad {what} {text!r}; expected decimal digits 0-9")
+    return int(text)
+
+
+class _Decimal(argparse.Action):
+    """Store _decimal(text); its ValueError leaves parse_args for main's one-line error."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        setattr(namespace, self.dest, _decimal(text, option_string))
 
 
 def _ratio_15g(num: int, den: int) -> str:
@@ -157,7 +172,7 @@ def _parse_q_selector(args: argparse.Namespace) -> Sequence[int]:
     if args.q_range is not None:
         lo, _, hi = args.q_range.partition(":")
         try:
-            return range(int(lo), int(hi) + 1)
+            return range(_decimal(lo, "LOW"), _decimal(hi, "HIGH") + 1)
         except ValueError:
             raise ValueError(f"bad --Q-range {args.q_range!r}; expected LOW:HIGH") from None
     return tablet.p322_q_set()
@@ -279,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit integer Q-tables or bounded generator tables")
     sel = p.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--Q", dest="q", type=int, help="integer-solutions table for this Q")
-    sel.add_argument("--bounded", type=int, metavar="K",
+    sel.add_argument("--Q", dest="q", action=_Decimal, help="integer-solutions table for this Q")
+    sel.add_argument("--bounded", action=_Decimal, metavar="K",
                      help="generator table bounded to K fractional sexagesits")
-    p.add_argument("--M", dest="m", type=int, default=12)
+    p.add_argument("--M", dest="m", action=_Decimal, default=12)
     p.add_argument("--Xmin", dest="xmin", default=None, help="lower bound on X (sexagesimal text)")
     p.add_argument("--Xmax", dest="xmax", default=None, help="upper bound on X (sexagesimal text)")
     p.add_argument("--decimal", action="store_true", help="decimal columns instead of sexagesimal")
@@ -292,10 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="statistics over scale-generator ranges")
     sel = p.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--Q", dest="q", type=int)
+    sel.add_argument("--Q", dest="q", action=_Decimal)
     sel.add_argument("--Q-range", dest="q_range", metavar="LOW:HIGH")
     sel.add_argument("--Q-set", dest="q_set", choices=["p322"])
-    p.add_argument("--M", dest="m", type=int, default=12)
+    p.add_argument("--M", dest="m", action=_Decimal, default=12)
     p.add_argument("--band", choices=[survey.BAND_FULL, survey.BAND_PI6_PI4, survey.BAND_P322],
                    default=survey.BAND_FULL,
                    help="rows kept in --out and --histogram-out; --report prints all three bands")
@@ -309,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--standard", action="store_true", help="the thirty reciprocal pairs")
     kind.add_argument("--scaled", action="store_true", help="the pairs rescaled to product M^2")
-    p.add_argument("--M", dest="m", type=int, default=12)
+    p.add_argument("--M", dest="m", action=_Decimal, default=12)
     p.add_argument("--format", choices=["table", "csv", "tsv"], default="table")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("pi", help="base-60 truncations of pi")
-    p.add_argument("--digits", type=int, choices=range(1, 9), default=8, metavar="K",
+    p.add_argument("--digits", type=_decimal, choices=range(1, 9), default=8, metavar="K",
                    help="deepest truncation to print (1..8)")
     p.add_argument("--extras", action="store_true", help="also print 3/pi and sqrt(pi/3)")
     p.set_defaults(func=cmd_pi)
@@ -327,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BrokenPipeError:
         return 0

@@ -298,8 +298,8 @@ def place_value_equal(a: "Sexagesimal | int | Fraction", b: "Sexagesimal | int |
 
 # --- parsing ----------------------------------------------------------------
 
-_SUFFIX_RE = re.compile(r"^(?P<body>.*\S)\s+S-(?P<shift>\d+)$")
-_DECIMAL_RE = re.compile(r"^\d{3,}$")
+_SUFFIX_RE = re.compile(r"^(?P<body>.*\S)\s+S-(?P<shift>[0-9]+)$")
+_DECIMAL_RE = re.compile(r"^[0-9]{3,}$")
 
 
 def parse(text: str) -> Sexagesimal:
@@ -341,7 +341,7 @@ def _split_groups(part: str, sep: str, whole: str) -> list[int]:
     pos = 0
     for group in re.split(f"[{re.escape(sep)}]", part):
         pos = whole.find(group, pos)
-        if not group or not group.isdigit() or len(group) > 2:
+        if not (group.isascii() and group.isdigit()) or len(group) > 2:  # isdigit() takes "٣", "²"
             raise ParseError(f"bad digit group {group!r} at position {pos} in {whole!r}")
         val = int(group)
         if val >= BASE:

@@ -9,11 +9,12 @@ histogram binning and display columns.
 from __future__ import annotations
 
 import math
-from math import atan2, degrees, gcd, isqrt
+from itertools import product
+from math import atan2, degrees, gcd, isqrt, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, solve_integer
-from .ntheory import divisors_from_factors, factorize
+from .ntheory import divisors_from_factors, factorize, is_prime
 from .sexagesimal import BASE, regular_power
 
 BAND_FULL = "full"
@@ -108,70 +109,107 @@ def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[GeneratorS
     return [solve_integer(x, q, m) for q, x, *_ in _sides(q_set(q_values, m), m)]
 
 
-# The class walk costs about 1 to 3 us per unit of m*hi whatever lo is; the
-# divisor stream about 15 us to 1.4 ms per Q, more as (m*Q)**2 has more
-# divisors. Their measured crossover m*hi/len(qs) is about 11 to 35 at m = 1 and
-# at least 16.8 for every m >= 2 measured (tools/crossover.py; runs are in
-# BENCH_9.json and BENCH_10.json), so the class walk is picked slower only at m = 1.
-_CLASS_COST_RATIO = 16
+# L per sieve segment: the segment's lists, not the Q range, set the memory
+_SEGMENT = 1 << 12
+
+
+def _range_legs(lo: int, hi: int) -> Iterator[tuple[int, int, bool, list[int]]]:
+    """(L, how many Q in lo..hi L divides, L in lo..hi, L's odd prime powers) for every
+    L in 1..hi that divides some Q in lo..hi, by a segmented sieve: memory stays flat."""
+    primes = [p for p in range(3, isqrt(hi) + 1, 2) if is_prime(p)]
+    for start in range(1, hi + 1, _SEGMENT):
+        stop = min(start + _SEGMENT, hi + 1)
+        odd: list[list[int]] = [[] for _ in range(start, stop)]
+        for p in primes:
+            if p * p >= stop:  # each L < stop has at most one prime factor left
+                break
+            for pps in odd[-start % p::p]:
+                pps.append(p)
+            pk = p * p
+            while pk < stop:
+                for pps in odd[-start % pk::pk]:
+                    pps[-1] *= p
+                pk *= p
+        for leg, pps in zip(range(start, stop), odd):
+            if mult := hi // leg - (lo - 1) // leg:
+                if (rest := leg // ((leg & -leg) * prod(pps))) > 1:
+                    pps.append(rest)
+                yield leg, mult, leg >= lo, pps
+
+
+def _set_legs(qs: Sequence[int]) -> Iterator[tuple[int, int, bool, list[int]]]:
+    """_range_legs for a Q set: every divisor L of a Q, its prime powers read off Q's."""
+    found: dict[int, list] = {}  # L -> [mult, odd prime powers]
+    for q in qs:
+        factors = factorize(q)
+        odd = [p**e for p, e in factors.items() if p > 2]
+        for d in divisors_from_factors(factors):  # d's power of each odd p is gcd(d, p**e)
+            found.setdefault(d, [0, [g for pk in odd if (g := gcd(d, pk)) > 1]])[0] += 1
+    members = set(qs)
+    return ((leg, mult, leg in members, pps) for leg, (mult, pps) in found.items())
+
+
+def _free_powers(factors: dict[int, int], twos: int, g: int, odd_leg: bool) -> list[list[int]]:
+    """What each allowed g | m = 2**twos * (odd factors) adds to N beyond L's own primes, for
+    g = gcd(L, odd part of m): p**i (i <= e) for each odd p**e || m that L lacks, and for odd L
+    2**(i - 1) for 2**i || g (i = 1 is n = 2 mod 4)."""
+    options = [[p**i for i in range(e + 1)] for p, e in factors.items() if g % p]
+    if odd_leg:
+        options.append([1] + [2 ** (i - 1) for i in range(2, twos + 1)])
+    return [[pk for pk in choice if pk > 1] for choice in product(*options)]
 
 
 def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
-    """stats(enumerate_solutions(q_values, m)), counted without building solutions.
+    """stats(enumerate_solutions(q_values, m)), counted by primitive leg with no divisor walk.
 
-    One range [lo, hi] with m*hi at most _CLASS_COST_RATIO times its length is
-    counted from the primitive classes, whose cost grows with m*hi; any other
-    Q set from the divisor stream, whose cost grows with the number of Q.
+    Every solution for Q is k times one oriented primitive triple (a0, b0, d0)
+    with k*b0 = m*Q, so its class meets exactly the Q that L = b0/gcd(b0, m)
+    divides, once each.  The b-legs with a given L are n = g*L for each g
+    dividing m with gcd(L, m/g) = 1.  Let N be n for odd n and n/2 for 4 | n;
+    n = 2 (mod 4) is no b-leg.  The classes with b-leg n are the splits
+    N = s*t into coprime s < t, one per pair of unitary divisors, with legs
+    (t*t - s*s, 2*s*t) or half of them, so with the same bands.  The one
+    solution missing is x = 1: the split s = 1 of odd n = m*L at Q = L.
     """
     qs = q_set(q_values, m)
-    lo, hi = qs[0], qs[-1]
-    if len(qs) == hi - lo + 1 and m * hi <= _CLASS_COST_RATIO * len(qs):
-        return _class_stats(lo, hi, m)
-    return _tally((a, b) for _, _, _, a, b, _ in _sides(qs, m))
-
-
-def _primitive_legs(top: int) -> Iterator[tuple[int, int, bool]]:
-    """(a0, b0, d0 - a0 == 1) for every oriented primitive triple with b0 <= top.
-
-    Euclid's form: u > v >= 1, coprime and of opposite parity, with legs
-    u*u - v*v and 2*u*v; each v range holds only the v whose b-leg fits.
-    """
-    for u in range(2, (top + 1) // 2 + 1):
-        uu = u * u
-        for v in range(1 + u % 2, min(u, top // (2 * u) + 1), 2):  # b0 = 2uv
-            if gcd(u, v) == 1:
-                yield uu - v * v, 2 * u * v, False
-        first = isqrt(uu - top - 1) + 1 if uu > top else 1
-        for v in range(first + (u - first + 1) % 2, u, 2):  # b0 = u*u - v*v, d0 - a0 = (u - v)**2
-            if gcd(u, v) == 1:
-                yield 2 * u * v, uu - v * v, v == u - 1
-
-
-def _class_stats(lo: int, hi: int, m: int) -> SurveyStats:
-    """count_stats(range(lo, hi + 1), m) from the primitive classes, with no divisor walk.
-
-    Every solution is k times one oriented primitive triple (a0, b0, d0) with
-    k*b0 = m*Q, so the class meets exactly the Q that L = b0/gcd(b0, m)
-    divides, once each; the one it loses is x = k*(d0 - a0) = 1, at k = 1 and
-    Q = L.  The bands depend only on (a0, b0).
-    """
+    legs = _range_legs(qs[0], qs[-1]) if isinstance(qs, range) else _set_legs(qs)
+    factors = factorize(m)
+    twos = factors.pop(2, 0)
+    powers = {p: p**e for p, e in factors.items()}  # m's odd prime powers
+    radical = prod(powers)
+    free = {(g, odd_leg): _free_powers(factors, twos, g, odd_leg)
+            for g in divisors_from_factors(dict.fromkeys(powers, 1)) for odd_leg in (False, True)}
     total = band = p322 = distinct = distinct_band = distinct_p322 = 0
-    for a0, b0, unit in _primitive_legs(m * hi):
-        step = b0 // gcd(b0, m)
-        if step > hi:
-            continue
-        n = hi // step - (lo - 1) // step
-        if unit and b0 == step * m and lo <= step:
-            n -= 1
-        if n:
-            total += n
-            distinct += 1
-            if _in_pi6_pi4(a0, b0):
-                band += n
-                distinct_band += 1
-                if _in_p322(a0, b0):
-                    p322 += n
-                    distinct_p322 += 1
+    for leg, mult, member, pps in legs:
+        if (g := gcd(leg, radical)) > 1:  # g takes m's whole power of each prime of L
+            pps = [pk * powers[p] if (p := gcd(pk, g)) > 1 else pk for pk in pps]
+        if (two := leg & -leg) > 1:
+            if two == 2 and not twos:  # n = 2 (mod 4) for every g
+                continue
+            pps = pps + [(two << twos) >> 1]
+        for extra in free[g, two == 1]:
+            if not (unitary := pps + extra):  # N = 1
+                continue
+            count = 1 << (len(unitary) - 1)
+            total += mult * count
+            distinct += count
+            big = prod(unitary)
+            splits = [1]
+            for pk in unitary[1:]:  # unitary[0] stays in t, so each split comes once
+                splits += [s * pk for s in splits]
+            for s in splits:
+                t = big // s
+                # the band needs max/min in (sqrt 3, 1 + sqrt 2), inside (3/2, 5/2)
+                if 3 * s < 2 * t < 5 * s or 3 * t < 2 * s < 5 * t:
+                    a, b = abs(t * t - s * s), 2 * s * t
+                    if _in_pi6_pi4(a, b):
+                        band += mult
+                        distinct_band += 1
+                        if _in_p322(a, b):
+                            p322 += mult
+                            distinct_p322 += 1
+        if member and (m * leg) & 1 and m * leg > 1:  # x = 1: the split s = 1 of n = m*L at Q = L
+            total, distinct = total - 1, distinct - (mult == 1)  # still distinct if another Q has it
     return SurveyStats(total, band, p322, distinct, distinct_band, distinct_p322)
 
 

@@ -218,17 +218,6 @@ def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys):
     assert out.splitlines()[0] == "71983 4495 4143 / 14267 504 437"
 
 
-def test_survey_large_m_short_range_report_walks_no_classes(monkeypatch, capsys):
-    # the class walk would cost about M*HIGH = 2e6 steps for two Q
-    def refuse(*args, **kwargs):
-        raise AssertionError("walked the classes")
-
-    monkeypatch.setattr("maksarum.survey._class_stats", refuse)
-    code, out = run(capsys, "survey", "--M", "1000003", "--Q-range", "1:2", "--report")
-    assert code == 0
-    assert out.splitlines()[0] == "1 0 0 / 1 0 0"
-
-
 @pytest.mark.parametrize("selector,report", [
     (["--Q", "1125"], [
         "73 5 5 / 73 5 5",
@@ -245,14 +234,20 @@ def test_survey_large_m_short_range_report_walks_no_classes(monkeypatch, capsys)
         "distinct p322:    111/3439 = 0.03228",
     ]),
     (["--Q-set", "p322"], P322_REPORT),
+    (["--M", "1000003", "--Q-range", "1:2"], [  # a short range at a large M
+        "1 0 0 / 1 0 0",
+        "ratio pi6_pi4: 0/1 = 0.0000000",
+        "ratio p322:    0/1 = 0.0000000",
+        "distinct pi6_pi4: 0/1 = 0.00000",
+        "distinct p322:    0/1 = 0.00000",
+    ]),
 ])
 def test_survey_other_q_sets_report_from_the_divisors(monkeypatch, capsys, selector, report):
+    # the divisors of each Q, or the sieve's L up to HIGH: never those of (M*Q)**2
+    _refuse_divisor_walk(monkeypatch)
     code, out = run(capsys, "survey", *selector, "--report")
     assert code == 0
     assert out.splitlines() == report
-    _refuse_divisor_walk(monkeypatch)
-    with pytest.raises(AssertionError, match="walked the divisors"):
-        main(["survey", *selector, "--report"])
 
 
 def test_survey_q_range_stays_a_range(monkeypatch):
@@ -368,6 +363,8 @@ def test_usage_errors():
         main(["survey", "--Q", "5", "--Q-range", "1:2"])
     with pytest.raises(SystemExit):
         main(["pi", "--digits", "9"])
+    with pytest.raises(SystemExit):
+        main(["pi", "--digits", "\u0663"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -398,6 +395,13 @@ def test_usage_errors():
     ["survey", "--Q-range", "1:5", "--report", "--bin-width", "nan"],
     ["survey", "--Q", "5", "--out", "F", "--histogram-out", "F"],
     ["survey", "--Q", "5", "--out", "F", "--histogram-out", "./F"],
+    # integers are ASCII decimal digits: int() alone reads "1_0" as 10 and "\u0663" as 3
+    ["survey", "--Q-range", "1_0:2_0", "--report"],
+    ["survey", "--Q-range", "\u0663:\u0665", "--report"],
+    ["survey", "--M", "\u0661\u0662", "--Q", "\u0665", "--report"],
+    ["generate", "--Q", "1_0"],
+    ["generate", "--bounded", "\u0663"],
+    ["partitions", "--M", "\u0661\u0662"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)

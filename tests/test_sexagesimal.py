@@ -49,7 +49,8 @@ def test_parse_suffix_gives_place_value():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "   ", "60", "02~60", "99", "1~2~", "01.~12.~13", "01;12;13", "ab", "0 1 x"],
+    ["", "   ", "60", "02~60", "99", "1~2~", "01.~12.~13", "01;12;13", "ab", "0 1 x",
+     "\u0663", "01.~1\uff12", "\u00b2", "212415 S-\u0663", "\u0663\u0663\u0663"],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):

@@ -1,10 +1,13 @@
 import io
+import math
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from maksarum import survey
 from maksarum.factor import Triple, solve_integer
 from maksarum.survey import (
     BAND_FULL,
@@ -12,10 +15,10 @@ from maksarum.survey import (
     BAND_PI6_PI4,
     CSV_HEADER,
     SurveyStats,
-    _class_stats,
     _sides,
     _tally,
     band_filter,
+    bin_count,
     count_stats,
     enumerate_solutions,
     export,
@@ -264,39 +267,64 @@ def test_windowed_sides_match_sympy(q, m):
     assert list(_sides([q], m)) == list(_sides([q], m, 2, b))
 
 
+def _stream_stats(qs, m):
+    """The oracle: the legs of every solution from the divisor walk, tallied."""
+    return _tally((a, b) for _, _, _, a, b, _ in _sides(q_set(qs, m), m))
+
+
+def _refuse_divisor_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the divisors")
+
+    monkeypatch.setattr(survey, "_sides", refuse)
+
+
 @pytest.mark.parametrize("m,lo,hi", [
     (m, lo, hi)
     for m in (1, 2, 3, 5, 7, 12, 60)
     for lo, hi in ((1, 1), (1, 2), (2, 40), (7, 7), (281, 300), (1, 100), (16, 215))
-] + [(m, 16, 1515) for m in (1, 3, 12, 60)])
-def test_class_counts_match_the_divisor_stream(m, lo, hi):
-    # odd M reaches the lost x = 1 solution (k = 1, d0 - a0 = 1) at Q = L
-    want = _tally((a, b) for _, _, _, a, b, _ in _sides(range(lo, hi + 1), m))
-    assert _class_stats(lo, hi, m) == want
-    assert count_stats(range(lo, hi + 1), m) == want
-
-
-@pytest.mark.parametrize("m,lo,hi,by_class", [
-    (16, 1, 100, True),  # M*hi is exactly _CLASS_COST_RATIO times the length
-    (16, 2, 100, False),
-    (1, 85, 100, True),
-    (1, 95, 100, False),
-    (1000003, 1, 2, False),
+] + [(m, 16, 1515) for m in (1, 3, 12, 60)] + [
+    (16, 1, 100), (16, 2, 100), (1, 85, 100), (1, 95, 100), (1000003, 1, 2),
 ])
-def test_count_stats_picks_a_path_from_m_and_the_range(monkeypatch, m, lo, hi, by_class):
-    want = _tally((a, b) for _, _, _, a, b, _ in _sides(range(lo, hi + 1), m))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("took the other path")
-
-    monkeypatch.setattr("maksarum.survey._sides" if by_class else "maksarum.survey._class_stats",
-                        refuse)
+def test_class_counts_match_the_divisor_stream(monkeypatch, m, lo, hi):
+    # odd M loses the x = 1 solution (the split s = 1 of n = M*L) at Q = L;
+    # the range reads L from the sieve, the same Q as a list from each Q's divisors
+    want = _stream_stats(range(lo, hi + 1), m)
+    _refuse_divisor_walk(monkeypatch)
     assert count_stats(range(lo, hi + 1), m) == want
+    assert count_stats(list(range(lo, hi + 1)), m) == want
+
+
+BUNDLING_FACTORS = (1, 2, 3, 4, 5, 7, 9, 12, 15, 30, 60, 77, 1001, 720720)
+q_ranges = st.builds(lambda lo, width: range(lo, lo + width), st.integers(1, 300), st.integers(1, 40))
+q_lists = st.lists(st.integers(1, 2000), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(BUNDLING_FACTORS), st.one_of(q_ranges, q_lists))
+def test_count_stats_matches_the_divisor_stream_at_random(m, qs):
+    assert count_stats(qs, m) == _stream_stats(qs, m)
+
+
+@pytest.mark.parametrize("m", [1, 7, 12])
+def test_count_stats_across_sieve_segments(monkeypatch, m):
+    qs = range(survey._SEGMENT - 50, survey._SEGMENT + 150)  # HIGH passes the first segment
+    want = _stream_stats(qs, m)
+    assert count_stats(qs, m) == want
+    monkeypatch.setattr(survey, "_SEGMENT", 7)  # shorter than most primes the sieve divides by
+    assert count_stats(qs, m) == want
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_count_stats_with_no_solutions(m):
     assert count_stats([1], m) == SurveyStats(0, 0, 0, 0, 0, 0)
+
+
+def test_bin_count_at_the_bin_limit():
+    # 90 / 9e-05 is 999999.99..., inside 10**6 bins; 90 over the next float down is just over
+    assert bin_count(9e-05) == 10**6
+    with pytest.raises(ValueError, match="too many bins"):
+        bin_count(math.nextafter(9e-05, 0))
 
 
 def _check_export(qs, m, band, width):
