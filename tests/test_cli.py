@@ -211,8 +211,16 @@ def _refuse_divisor_walk(monkeypatch):
     monkeypatch.setattr("maksarum.survey._sides", refuse)
 
 
+def _refuse(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"called {name}")
+
+    monkeypatch.setattr(f"maksarum.survey.{name}", refuse)
+
+
 def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys):
     _refuse_divisor_walk(monkeypatch)
+    _refuse(monkeypatch, "_set_legs")  # a wide range takes its L from the sieve
     code, out = run(capsys, "survey", "--Q-range", "1:1500", "--report")
     assert code == 0
     assert out.splitlines()[0] == "71983 4495 4143 / 14267 504 437"
@@ -243,11 +251,25 @@ def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys):
     ]),
 ])
 def test_survey_other_q_sets_report_from_the_divisors(monkeypatch, capsys, selector, report):
-    # the divisors of each Q, or the sieve's L up to HIGH: never those of (M*Q)**2
+    # from the divisors L of the Q (factored per Q, or sieved for a range),
+    # never from the divisors of (M*Q)**2
     _refuse_divisor_walk(monkeypatch)
     code, out = run(capsys, "survey", *selector, "--report")
     assert code == 0
     assert out.splitlines() == report
+
+
+@pytest.mark.parametrize("selector,first", [
+    ("1000000000:1000000001", "1691 36 34 / 1687 35 33"),
+    ("1000000000:1000000000", "598 11 11 / 598 11 11"),
+])
+def test_survey_narrow_range_at_large_high_factors_each_q(monkeypatch, capsys, selector, first):
+    # a sieve up to HIGH = 10**9 would take minutes; factoring two Q takes milliseconds
+    _refuse_divisor_walk(monkeypatch)
+    _refuse(monkeypatch, "_range_legs")  # the sieve
+    code, out = run(capsys, "survey", "--Q-range", selector, "--report")
+    assert code == 0
+    assert out.splitlines()[0] == first
 
 
 def test_survey_q_range_stays_a_range(monkeypatch):

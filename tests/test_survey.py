@@ -279,6 +279,18 @@ def _refuse_divisor_walk(monkeypatch):
     monkeypatch.setattr(survey, "_sides", refuse)
 
 
+def _sorted_legs(legs):
+    """(L, mult, L in the set, L's odd prime powers) in L order, the powers ascending."""
+    return sorted((leg, mult, member, sorted(pps)) for leg, mult, member, pps in legs)
+
+
+def _legs_agree(lo, hi):
+    """The sieve, the range's divisors and the same Q as a list give the same L."""
+    sieved = _sorted_legs(survey._range_legs(lo, hi))
+    qs = range(lo, hi + 1)
+    return sieved == _sorted_legs(survey._set_legs(qs)) == _sorted_legs(survey._set_legs(list(qs)))
+
+
 @pytest.mark.parametrize("m,lo,hi", [
     (m, lo, hi)
     for m in (1, 2, 3, 5, 7, 12, 60)
@@ -287,8 +299,9 @@ def _refuse_divisor_walk(monkeypatch):
     (16, 1, 100), (16, 2, 100), (1, 85, 100), (1, 95, 100), (1000003, 1, 2),
 ])
 def test_class_counts_match_the_divisor_stream(monkeypatch, m, lo, hi):
-    # odd M loses the x = 1 solution (the split s = 1 of n = M*L) at Q = L;
-    # the range reads L from the sieve, the same Q as a list from each Q's divisors
+    # count_stats counts primitive classes; odd M loses the x = 1 solution (the
+    # split s = 1 of n = M*L) at Q = L; every source of L agrees on the range
+    assert _legs_agree(lo, hi)
     want = _stream_stats(range(lo, hi + 1), m)
     _refuse_divisor_walk(monkeypatch)
     assert count_stats(range(lo, hi + 1), m) == want
@@ -306,10 +319,23 @@ def test_count_stats_matches_the_divisor_stream_at_random(m, qs):
     assert count_stats(qs, m) == _stream_stats(qs, m)
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 20000), st.integers(1, 200))
+def test_sieve_and_divisors_give_the_same_legs_at_random(lo, width):
+    # a range takes the sieve or each Q's divisors by its width next to HIGH
+    assert _legs_agree(lo, lo + width - 1)
+
+
 @pytest.mark.parametrize("m", [1, 7, 12])
 def test_count_stats_across_sieve_segments(monkeypatch, m):
-    qs = range(survey._SEGMENT - 50, survey._SEGMENT + 150)  # HIGH passes the first segment
+    qs = range(survey._SEGMENT - 1000, survey._SEGMENT + 150)  # HIGH passes the first segment
     want = _stream_stats(qs, m)
+    assert _legs_agree(qs[0], qs[-1])
+
+    def refuse(qs):
+        raise AssertionError("took the divisors of each Q")
+
+    monkeypatch.setattr(survey, "_set_legs", refuse)  # the range is wide enough for the sieve
     assert count_stats(qs, m) == want
     monkeypatch.setattr(survey, "_SEGMENT", 7)  # shorter than most primes the sieve divides by
     assert count_stats(qs, m) == want
