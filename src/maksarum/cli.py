@@ -10,6 +10,7 @@ sexagesimal; --decimal switches to the decimal forms the source tables use.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import re
 import sys
@@ -21,6 +22,13 @@ from typing import Sequence, TextIO
 from . import circle, partitions, survey, tablet
 from .factor import fourth_column
 from .sexagesimal import IrregularError, Sexagesimal, parse as parse_number, regular_power, to_string
+
+# cli is the program's entry module: what is loaded by now lives until exit.  Frozen
+# objects move to the permanent generation, so neither a gen-2 collection during a long
+# export nor the collections finalization runs at exit walk them again.  Library
+# importers of maksarum keep their GC as it is, and main() leaves it alone, since each
+# in-process call would pin that moment's cyclic garbage for good.
+gc.freeze()
 
 
 def _emit(header: list[str], rows: list[list[str]], fmt: str, fp: TextIO) -> None:
@@ -153,6 +161,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError("--Xmin and --Xmax apply only to --bounded")
         header, rows = _qtable_rows(args.q, args.m, args.decimal)
     else:
+        if args.bounded < 0:
+            raise ValueError(f"--bounded K must be >= 0, got {args.bounded}")
         x_range = None
         if args.xmin is not None or args.xmax is not None:
             lo = parse_number(args.xmin).value if args.xmin is not None else Fraction(0)

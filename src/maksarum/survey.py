@@ -1,9 +1,10 @@
 """Mass enumeration of integer solutions, band filters, statistics, histograms.
 
-For each scale generator Q the solutions are the divisors x of (M*Q)**2 with
-2 <= x < M*Q and x matching y = (M*Q)**2/x in parity.  Angle comparisons are
-exact (reduced ratios, cross-multiplication); floating point enters only in
-histogram binning and display columns.
+For each scale generator Q the solutions are the divisors x of b**2, b = M*Q,
+with 2 <= x < b and x matching y = b**2/x in parity.  Only those are built:
+every divisor for odd b, and twice each divisor of (b/2)**2 for even b.  Angle
+comparisons are exact (reduced ratios, cross-multiplication); floating point
+enters only in histogram binning and display columns.
 """
 
 from __future__ import annotations
@@ -89,15 +90,18 @@ def _sides(
     """(q, x, y, a, b, d) for every solution over the checked scale generators, in
     (Q, x) order: b = m*Q, the divisors lo <= x < hi of b**2 (hi None: b) with
     y = b**2/x of x's parity, a = (y - x)/2 and d = (y + x)/2, each checked to be
-    a right triangle."""
+    a right triangle.  Only those divisors are built: for odd b every one has
+    odd y, and for even b = 2c the even product x*y forces both even, so x = 2u
+    for the divisors u of c**2 with lo <= 2u < hi."""
     for q in qs:
         b = m * q
         bsq = b * b
-        for x in divisors_from_factors({p: 2 * e for p, e in factorize(b).items()},
-                                       lo, b if hi is None else hi):
-            y = bsq // x
-            if (y - x) % 2:
-                continue
+        k = 2 - (b & 1)  # x and y are multiples of k
+        c = b // k
+        csq = c * c
+        for u in divisors_from_factors({p: 2 * e for p, e in factorize(c).items()},
+                                       -(-lo // k), c if hi is None else -(-hi // k)):
+            x, y = k * u, k * (csq // u)
             a, d = (y - x) // 2, (y + x) // 2
             if a * a + bsq != d * d:
                 raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")

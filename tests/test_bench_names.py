@@ -6,7 +6,9 @@ perfbench/child.py's ``WRAPPED`` with a timing wrapper, looking the module up
 in ``sys.modules``.  So each such module must be loaded by that one import,
 and each name must exist in it: a name that a refactor deletes or moves, or a
 module that the CLI stops importing at start-up, would crash every traced
-run.  The same import must stay lean, since every CLI start pays it.
+run.  The same import must stay lean, since every CLI start pays it, and it
+freezes the objects it made, so that no collection walks them again, the
+ones at exit included.  A plain ``import maksarum`` freezes nothing.
 """
 
 import importlib.util
@@ -22,9 +24,10 @@ ROOT = Path(__file__).parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 
 PROBE = """
-import json, sys
+import gc, json, sys
 import maksarum.cli
 print(json.dumps({
+    "frozen": gc.get_freeze_count(),
     "modules": sorted(sys.modules),
     "unresolved": [
         f"maksarum.{module}.{attr}" for module, attr in json.loads(sys.argv[1])
@@ -42,12 +45,17 @@ def cli_import():
     spec.loader.exec_module(child)
     assert child.WRAPPED
     wrapped = [(module, attr) for module, attr, _, _ in child.WRAPPED]
+    return json.loads(_fresh(PROBE, json.dumps(wrapped)))
+
+
+def _fresh(code, *args):
+    """The stdout of code run by a fresh interpreter that imports the package from src."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(wrapped)],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
-    return json.loads(proc.stdout)
+    return proc.stdout
 
 
 def test_traced_names_resolve(cli_import):
@@ -57,3 +65,12 @@ def test_traced_names_resolve(cli_import):
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
 def test_cli_import_leaves_out(cli_import, module):
     assert module not in cli_import["modules"]
+
+
+def test_cli_import_freezes_its_heap(cli_import):
+    # gc.freeze() in cli: no collection, the ones at exit included, walks the import's objects
+    assert cli_import["frozen"] > 0
+
+
+def test_library_import_keeps_its_gc():
+    assert _fresh("import gc, maksarum; print(gc.get_freeze_count())") == "0\n"

@@ -433,6 +433,8 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("maksarum: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []  # bad input writes no output file
+    if argv == ["generate", "--bounded", "-1"]:  # the option, not the library's parameter
+        assert err == "maksarum: --bounded K must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("argv, m", [

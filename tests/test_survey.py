@@ -244,26 +244,34 @@ def test_count_stats_matches_the_records(m, qs):
     assert count_stats(qs, m) == stats(enumerate_solutions(qs, m))
 
 
-@pytest.mark.parametrize("q", [1, 7, 60**3])
+@pytest.mark.parametrize("q", [1, 7, 1125, 60**3])
 @pytest.mark.parametrize("m", [1, 7, 12])
 def test_windowed_sides_match_sympy(q, m):
     b = m * q
     divisors = sympy.divisors(b * b)
+    pi4 = isqrt(2 * b * b) - b + 1
     windows = {
         "default": (2, b),
-        "theta below pi/4": (isqrt(2 * b * b) - b + 1, b),
+        "theta below pi/4": (pi4, b),
         "empty": (b, b),
+        "odd ends": (pi4 | 1, b - 1 + b % 2),
     }
     below = [x for x in divisors if x < b]
     if below:
         windows["one divisor"] = (below[-1], below[-1] + 1)
+        mid = below[len(below) // 2]
+        windows["odd ends around a divisor"] = (mid - 1 + mid % 2, mid + 1 + mid % 2)
+        windows["odd ends just past a divisor"] = (mid + 1 + mid % 2, b - 1 + b % 2)
     for name, (lo, hi) in windows.items():
         want = [
             (q, x, b * b // x, (b * b // x - x) // 2, b, (b * b // x + x) // 2)
             for x in divisors
             if lo <= x < hi and (b * b // x - x) % 2 == 0
         ]
-        assert list(_sides([q], m, lo, hi)) == want, name
+        got = list(_sides([q], m, lo, hi))
+        assert got == want, name
+        for _, x, y, *_ in got:  # the walk builds only these: no branch filters parity
+            assert x * y == b * b and x % 2 == y % 2, name
     assert list(_sides([q], m)) == list(_sides([q], m, 2, b))
 
 
