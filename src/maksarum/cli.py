@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from math import gcd
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import circle, partitions, survey, tablet
 from .factor import fourth_column
@@ -31,12 +31,15 @@ from .sexagesimal import IrregularError, Sexagesimal, parse as parse_number, reg
 gc.freeze()
 
 
-def _emit(header: list[str], rows: list[list[str]], fmt: str, fp: TextIO) -> None:
+def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIO) -> None:
+    """csv and tsv write each row as it comes; the table holds them all for its widths."""
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"
-        for row in [header, *rows]:
+        fp.write(sep.join(header) + "\n")
+        for row in rows:
             fp.write(sep.join(row) + "\n")
     else:
+        rows = list(rows)
         widths = [
             max(len(header[i]), max((len(r[i]) for r in rows), default=0))
             for i in range(len(header))
@@ -68,10 +71,6 @@ class _Decimal(argparse.Action):
 
     def __call__(self, parser, namespace, text, option_string=None):
         setattr(namespace, self.dest, _decimal(text, option_string))
-
-
-def _ratio_15g(num: int, den: int) -> str:
-    return f"{num / den:.15g}"
 
 
 # --- reconstruct ------------------------------------------------------------
@@ -116,43 +115,34 @@ def _qtable_fourth(sol, decimal: bool) -> str:
     try:
         m = regular_power(sol.b)
     except IrregularError:
-        m = None
-    if m is not None:
-        atil = sol.triple.a * 60**m // sol.b
-        return f"{atil * atil}S-{2 * m}"
-    return "" if sol.fourth is None else str(sol.fourth)
+        return "" if sol.fourth is None else str(sol.fourth)
+    atil = sol.triple.a * 60**m // sol.b
+    return f"{atil * atil}S-{2 * m}"
 
 
-def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], list[list[str]]]:
+def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], Iterator[list[str]]]:
     header = ["x", "y", "b", "a", "d", "a2", "fourth"]
-    rows = []
-    for sol in survey.enumerate_solutions([q], m=m):
-        t = sol.triple
-        cells = [sol.x, sol.y, t.b, t.a, t.d, t.a * t.a]
-        if decimal:
-            out = [str(c) for c in cells]
-        else:
-            out = [to_string(Sexagesimal(c)) for c in cells]
-        out.append(_qtable_fourth(sol, decimal))
-        rows.append(out)
-    return header, rows
+    cell = str if decimal else (lambda c: to_string(Sexagesimal(c)))
+    return header, (
+        [cell(c) for c in (sol.x, sol.y, sol.b, sol.triple.a, sol.triple.d, sol.triple.a ** 2)]
+        + [_qtable_fourth(sol, decimal)]
+        for sol in survey.enumerate_solutions([q], m=m)  # checks M and Q now
+    )
 
 
-def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], list[list[str]]]:
+def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], Iterator[list[str]]]:
     # each pair is (x, y) / 60**k for an integer solution (x, y, a, b, d) at Q = 60**k
-    sides = partitions._bounded_sides(m, k, x_range)
-    rows = []
-    if decimal:
-        header = ["place", "b", "d", "a", "ratio"]
-        for place, (_, _, _, a, b, d) in enumerate(sides, 1):
-            g = gcd(a, b)  # divides d too
-            a, b = a // g, b // g
-            rows.append([str(place), str(b), str(d // g), str(a), _ratio_15g(a * a, b * b)])
-        return header, rows
-    header = ["place", "X", "Y", "A", "D"]
-    for place, (_, x, y, a, _, d) in enumerate(sides, 1):
-        rows.append([str(place)] + [to_string(Sexagesimal(v, k)) for v in (x, y, a, d)])
-    return header, rows
+    sides = enumerate(partitions._bounded_sides(m, k, x_range), 1)  # checks M, K and the range now
+    if not decimal:
+        return ["place", "X", "Y", "A", "D"], (
+            [str(place)] + [to_string(Sexagesimal(v, k)) for v in (x, y, a, d)]
+            for place, (_, x, y, a, _, d) in sides
+        )
+    return ["place", "b", "d", "a", "ratio"], (
+        [str(place), str(b // g), str(d // g), str(a // g), f"{(a // g) ** 2 / (b // g) ** 2:.15g}"]
+        for place, (_, _, _, a, b, d) in sides
+        for g in [gcd(a, b)]  # divides d too
+    )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -253,6 +243,8 @@ def cmd_partitions(args: argparse.Namespace) -> int:
 # --- pi / giza --------------------------------------------------------------
 
 def cmd_pi(args: argparse.Namespace) -> int:
+    if not 1 <= args.digits <= 8:
+        raise ValueError(f"--digits K must be in 1..8, got {args.digits}")
     for k in range(1, args.digits + 1):
         approx = circle.pi_digits(k)
         frac = approx.fractional_part
@@ -340,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("pi", help="base-60 truncations of pi")
-    p.add_argument("--digits", type=_decimal, choices=range(1, 9), default=8, metavar="K",
+    p.add_argument("--digits", action=_Decimal, default=8, metavar="K",
                    help="deepest truncation to print (1..8)")
     p.add_argument("--extras", action="store_true", help="also print 3/pi and sqrt(pi/3)")
     p.set_defaults(func=cmd_pi)

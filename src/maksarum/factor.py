@@ -10,10 +10,11 @@ as an integer coefficient times a power of 60.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .sexagesimal import IrregularError, regular_power
+from .sexagesimal import BASE, regular_power
 
 
 class GeneratorError(ValueError):
@@ -73,6 +74,15 @@ class FourthColumn(NamedTuple):
         return f"{self.coefficient}S-{self.shift}"
 
 
+@lru_cache(maxsize=4096)  # regular legs are 5-smooth: 462 of them for M = 12 and Q up to 10**5
+def reciprocal_square(pb: int) -> tuple[int, int]:
+    """(shift, 60**shift // pb**2) for the least shift with pb**2 | 60**shift: the fourth
+    column of primitive legs (pa, pb) is pa**2 times that at that shift, which is minimal
+    since (pa/pb)**2 is in lowest terms.  IrregularError when pb has a prime above 5."""
+    shift = regular_power(pb * pb)
+    return shift, BASE**shift // (pb * pb)
+
+
 def fourth_column(t: Triple) -> FourthColumn:
     """Minimal-shift exact representation of a**2/b**2.
 
@@ -80,13 +90,16 @@ def fourth_column(t: Triple) -> FourthColumn:
     outside 2, 3, 5 (possible for irregular Q; the ratio then has no finite
     base-60 form).
     """
-    num = t.a * t.a
-    den = t.b * t.b
-    g = gcd(num, den)
-    num //= g
-    den //= g
-    n = regular_power(den)
-    return FourthColumn(num * 60**n // den, n)
+    g = gcd(t.a, t.b)
+    shift, mult = reciprocal_square(t.b // g)
+    return FourthColumn((t.a // g) ** 2 * mult, shift)
+
+
+def prime_to_60(b: int) -> int:
+    """The part of b prime to 60: for g dividing b, b/g is regular iff it divides g."""
+    while (g := gcd(b, BASE)) > 1:
+        b //= g
+    return b
 
 
 class GeneratorSolution(NamedTuple):
@@ -104,6 +117,13 @@ class GeneratorSolution(NamedTuple):
         return self.triple.b
 
 
+def solution(q: int, x: int, y: int, a: int, b: int, d: int, m: int, r: int) -> GeneratorSolution:
+    """The solution of sides (a, b, d) checked by the caller, from x*y = b**2; r = prime_to_60(b),
+    so the fourth column is blank, at the cost of one modulo, unless r divides a."""
+    t = tuple.__new__(Triple, (a, b, d))  # Triple(a, b, d) would test the right angle again
+    return GeneratorSolution(x, y, q, m, t, None if a % r else fourth_column(t))
+
+
 def solve_integer(x: int, q: int, m: int = 12) -> GeneratorSolution:
     """Solve the generator x against b = m*q, checking the integer-sides rules."""
     if m < 1 or q < 1:
@@ -117,14 +137,7 @@ def solve_integer(x: int, q: int, m: int = 12) -> GeneratorSolution:
     y = bsq // x
     if (y - x) % 2:
         raise ParityError(f"non-integer sides: x={x} and y={y} differ in parity")
-    a = (y - x) // 2
-    d = (y + x) // 2
-    t = Triple(a, b, d)
-    try:
-        fourth = fourth_column(t)
-    except IrregularError:  # irregular Q: the ratio has no finite base-60 form
-        fourth = None
-    return GeneratorSolution(x, y, q, m, t, fourth)
+    return solution(q, x, y, (y - x) // 2, b, (y + x) // 2, m, prime_to_60(b))
 
 
 def normalized_sides(x_gen: Fraction, m: int = 12) -> tuple[Fraction, Fraction]:

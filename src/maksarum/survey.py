@@ -14,9 +14,10 @@ from itertools import product
 from math import atan2, degrees, gcd, isqrt, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-from .factor import GeneratorSolution, Triple, angle_fraction, solve_integer
+from .factor import GeneratorSolution, Triple, angle_fraction, prime_to_60, reciprocal_square, solution
+# not called here; kept importable because perfbench/child.py wraps it by name
+from .factor import solve_integer  # noqa: F401
 from .ntheory import divisors_from_factors, factorize, is_prime
-from .sexagesimal import BASE, regular_power
 
 BAND_FULL = "full"
 BAND_PI6_PI4 = "pi6_pi4"
@@ -110,7 +111,9 @@ def _sides(
 
 def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[GeneratorSolution]:
     """All solutions for the given scale generators, ordered by (Q, x)."""
-    return [solve_integer(x, q, m) for q, x, *_ in _sides(q_set(q_values, m), m)]
+    qs = q_set(q_values, m)
+    r = {q: prime_to_60(m * q) for q in qs}  # once per Q
+    return [solution(q, x, y, a, b, d, m, r[q]) for q, x, y, a, b, d in _sides(qs, m)]
 
 
 # L per sieve segment: the segment's lists, not the Q range, set the memory
@@ -289,11 +292,6 @@ def rejected_p322_classes(solutions: Iterable[GeneratorSolution]) -> list[Triple
     return [out[a] for a in sorted(out)]
 
 
-def theta_degrees(a: int, b: int) -> float:
-    """Display-only angle in degrees of the legs (a, b)."""
-    return degrees(atan2(a, b))
-
-
 # each bin costs one list slot, one (low, high, count) tuple and one CSV line
 _MAX_BINS = 10**6
 
@@ -326,7 +324,7 @@ def histogram(solutions: Iterable[GeneratorSolution], bin_width_deg: float = 1.0
     last = bin_count(bin_width_deg) - 1
     counts = [0] * (last + 1)
     for s in solutions:
-        counts[min(int(theta_degrees(s.triple.a, s.triple.b) // bin_width_deg), last)] += 1
+        counts[min(int(degrees(atan2(s.triple.a, s.triple.b)) // bin_width_deg), last)] += 1
     return _binned(counts, bin_width_deg)
 
 
@@ -349,7 +347,7 @@ def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIO) -> Non
         p = primitive_reduce(t)
         coeff, shift = (s.fourth.coefficient, s.fourth.shift) if s.fourth else ("", "")
         fp.write(f"{s.q},{s.x},{s.y},{t.a},{t.b},{t.d},{coeff},{shift},"
-                 f"{p.a},{p.b},{p.d},{theta_degrees(t.a, t.b):.12f}\n")
+                 f"{p.a},{p.b},{p.d},{degrees(atan2(t.a, t.b)):.12f}\n")
 
 
 def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
@@ -357,9 +355,8 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
     """write_records_csv to fp (unless None) and return the histogram (unless the width
     is None) of band_filter(enumerate_solutions(q_values, m), band), in one loop over
     the divisor stream that builds no solution.  With r the part of b = m*Q prime to
-    60, the primitive leg pb = b/gcd(a, b) is regular iff r divides a; the fourth
-    column's (shift, 60**shift // pb**2) is kept per regular pb only, a few hundred
-    5-smooth legs even at Q up to 10**5, so memory does not grow with the Q range."""
+    60, the primitive leg pb = b/gcd(a, b) is regular iff r divides a, and the fourth
+    column of a regular pb comes from the bounded cache of factor.reciprocal_square."""
     qs = q_set(q_values, m)
     keep = None if band == BAND_FULL else _band_test(band)
     if bin_width_deg is not None:
@@ -368,30 +365,24 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
     if fp is not None:
         write = fp.write
         write(CSV_HEADER + "\n")
-    regular: dict[int, tuple[int, int]] = {}
     q_now = None
     for q, x, y, a, b, d in _sides(qs, m):
         if keep is not None and not keep(a, b):
             continue
-        theta = degrees(atan2(a, b))  # theta_degrees(a, b)
+        theta = degrees(atan2(a, b))
         if bin_width_deg is not None:
             i = int(theta // bin_width_deg)
             counts[i if i < last else last] += 1
         if fp is None:
             continue
         if q != q_now:  # once per Q: r, and the text of q and b
-            q_now, r, q_text, b_text = q, b, f"{q},", f",{b},"
-            while (g := gcd(r, BASE)) > 1:
-                r //= g
+            q_now, r, q_text, b_text = q, prime_to_60(b), f"{q},", f",{b},"
         g = gcd(a, b)  # divides d too
         pa, pb = a // g, b // g
         if a % r:  # pb keeps a prime above 5: no finite base-60 form
             coeff = shift = ""
-        else:  # (pa/pb)**2 is a**2/b**2 in lowest terms, so the minimal shift is the same
-            if pb not in regular:
-                shift = regular_power(pb * pb)
-                regular[pb] = shift, BASE**shift // (pb * pb)
-            shift, mult = regular[pb]
+        else:
+            shift, mult = reciprocal_square(pb)
             coeff = pa * pa * mult
         write(f"{q_text}{x},{y},{a}{b_text}{d},{coeff},{shift},{pa},{pb},{d // g},{theta:.12f}\n")
     return None if bin_width_deg is None else _binned(counts, bin_width_deg)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from maksarum import partitions, survey
+from maksarum import cli, partitions, survey
 from maksarum.cli import main
 from maksarum.partitions import pair_solution
 from maksarum.sexagesimal import parse
@@ -250,7 +250,7 @@ def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys):
         "distinct p322:    0/1 = 0.00000",
     ]),
 ])
-def test_survey_other_q_sets_report_from_the_divisors(monkeypatch, capsys, selector, report):
+def test_survey_other_q_sets_report_without_the_divisor_walk(monkeypatch, capsys, selector, report):
     # from the divisors L of the Q (factored per Q, or sieved for a range),
     # never from the divisors of (M*Q)**2
     _refuse_divisor_walk(monkeypatch)
@@ -316,7 +316,7 @@ def test_survey_csv_and_histogram(tmp_path, capsys):
     ("survey_m77_1_30_pi6_pi4", ["--M", "77", "--Q-range", "1:30", "--band", "pi6_pi4"]),
 ])
 def test_survey_export_goldens(tmp_path, capsys, golden, argv):
-    # byte-for-byte: an oracle independent of write_records_csv and theta_degrees
+    # byte-for-byte: an oracle independent of write_records_csv and of export
     csv_path, hist_path = tmp_path / "records.csv", tmp_path / "hist.csv"
     code, out = run(capsys, "survey", *argv, "--out", str(csv_path), "--histogram-out", str(hist_path))
     assert (code, out) == (0, "")
@@ -383,10 +383,6 @@ def test_usage_errors():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["survey", "--Q", "5", "--Q-range", "1:2"])
-    with pytest.raises(SystemExit):
-        main(["pi", "--digits", "9"])
-    with pytest.raises(SystemExit):
-        main(["pi", "--digits", "\u0663"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -424,6 +420,13 @@ def test_usage_errors():
     ["generate", "--Q", "1_0"],
     ["generate", "--bounded", "\u0663"],
     ["partitions", "--M", "\u0661\u0662"],
+    ["pi", "--digits", "\u0661"],
+    ["pi", "--digits", "0"],
+    ["pi", "--digits", "9"],
+    # generate streams its rows into --out: every check comes before the file opens
+    ["generate", "--Q", "0", "--out", "t.tsv"],
+    ["generate", "--bounded", "2", "--Xmin", "3", "--Xmax", "1", "--out", "t.tsv"],
+    ["generate", "--bounded", "3", "--M", "0", "--out", "t.tsv"],
 ])
 def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -435,6 +438,8 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []  # bad input writes no output file
     if argv == ["generate", "--bounded", "-1"]:  # the option, not the library's parameter
         assert err == "maksarum: --bounded K must be >= 0, got -1\n"
+    if argv == ["pi", "--digits", "9"]:
+        assert err == "maksarum: --digits K must be in 1..8, got 9\n"
 
 
 @pytest.mark.parametrize("argv, m", [
@@ -448,6 +453,19 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
 def test_bad_m_is_named(capsys, argv, m):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"maksarum: M must be >= 1, got {m}\n"
+
+
+@pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+def test_emit_writes_each_row_before_the_next(fmt, sep):
+    fp = io.StringIO()
+
+    def rows():
+        for i in range(3):
+            assert fp.getvalue().count("\n") == 1 + i  # the header and every earlier row
+            yield [str(i), "x"]
+
+    cli._emit(["n", "v"], rows(), fmt, fp)
+    assert fp.getvalue() == f"n{sep}v\n0{sep}x\n1{sep}x\n2{sep}x\n"
 
 
 def test_output_is_deterministic(capsys):

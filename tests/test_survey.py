@@ -7,8 +7,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from maksarum import survey
-from maksarum.factor import Triple, solve_integer
+from maksarum import factor, survey
+from maksarum.factor import GeneratorError, Triple, solve_integer
 from maksarum.survey import (
     BAND_FULL,
     BAND_P322,
@@ -75,6 +75,40 @@ def test_all_records_are_valid_solutions():
         assert r.x < r.y and (r.y - r.x) % 2 == 0
         assert t.a == (r.y - r.x) // 2 and t.d == (r.y + r.x) // 2
         assert t.b == 12 * r.q
+
+
+@pytest.mark.parametrize("m", [1, 7, 12, 77])
+def test_enumerated_fourth_column_is_exact(m):
+    qs = [*range(1, 61), 77, 121, 1125]  # Q = 7, 11, 13, ... and 77, 121 are irregular
+    sols = enumerate_solutions(qs, m)
+    assert any(s.fourth is None for s in sols) and any(s.fourth for s in sols)
+    for s in sols:
+        f = s.fourth
+        _check_fourth(s.triple.a, s.triple.b, *(("", "") if f is None else f))
+
+
+def test_enumerate_solves_no_solution_twice(monkeypatch):
+    qs, m = range(1, 41), 7
+    want = []  # every generator of every Q through the checked library entry
+    for q in qs:
+        for x in range(2, m * q):
+            try:
+                want.append(solve_integer(x, q, m))
+            except GeneratorError:
+                pass
+    square = factor.reciprocal_square
+
+    def refuse(*args):
+        raise AssertionError("solved a solution again")
+
+    def regular_only(pb):  # an irregular leg takes the cheap test, not an exception
+        assert set(sympy.factorint(pb)) <= {2, 3, 5}, pb
+        return square(pb)
+
+    monkeypatch.setattr("maksarum.survey.solve_integer", refuse)
+    monkeypatch.setattr("maksarum.factor.solve_integer", refuse)
+    monkeypatch.setattr("maksarum.factor.reciprocal_square", regular_only)
+    assert enumerate_solutions(qs, m) == want
 
 
 def test_band_filters():
@@ -361,11 +395,27 @@ def test_bin_count_at_the_bin_limit():
         bin_count(math.nextafter(9e-05, 0))
 
 
+def _check_fourth(a, b, coeff, shift):
+    """The fourth-column cells of the legs (a, b), checked exactly and without the package's
+    rule: coeff * b**2 == a**2 * 60**shift at the least shift, blank iff a**2/b**2 in lowest
+    terms has a denominator with a prime above 5."""
+    den = b * b // math.gcd(a * a, b * b)
+    if coeff == "":
+        assert shift == "" and not set(sympy.factorint(den)) <= {2, 3, 5}, (a, b)
+    else:
+        c, s = int(coeff), int(shift)
+        assert c * b * b == a * a * 60**s, (a, b)
+        assert s == 0 or (a * a * 60 ** (s - 1)) % (b * b), f"shift of {(a, b)} not minimal"
+
+
 def _check_export(qs, m, band, width):
     """export with the CSV, the histogram, both or neither on, against the record path."""
     kept = band_filter(enumerate_solutions(qs, m), band)
     want_csv, want_hist = io.StringIO(), io.StringIO()
     write_records_csv(kept, want_csv)
+    for line in want_csv.getvalue().splitlines()[1:]:  # the record path shares export's rule
+        cells = line.split(",")
+        _check_fourth(int(cells[3]), int(cells[4]), cells[6], cells[7])
     histogram(kept, width).write_csv(want_hist)
     got_csv, got_hist = io.StringIO(), io.StringIO()
     export(qs, m, band, got_csv, width).write_csv(got_hist)
