@@ -74,7 +74,7 @@ class FourthColumn(NamedTuple):
         return f"{self.coefficient}S-{self.shift}"
 
 
-@lru_cache(maxsize=4096)  # regular legs are 5-smooth: 462 of them for M = 12 and Q up to 10**5
+@lru_cache(maxsize=4096)  # regular legs are 5-smooth: at most 462 for M = 12 and Q up to 10**5
 def reciprocal_square(pb: int) -> tuple[int, int]:
     """(shift, 60**shift // pb**2) for the least shift with pb**2 | 60**shift: the fourth
     column of primitive legs (pa, pb) is pa**2 times that at that shift, which is minimal
@@ -96,7 +96,7 @@ def fourth_column(t: Triple) -> FourthColumn:
 
 
 def prime_to_60(b: int) -> int:
-    """The part of b prime to 60: for g dividing b, b/g is regular iff it divides g."""
+    """The part r of b prime to 60: for g dividing b, b/g is regular iff r divides g."""
     while (g := gcd(b, BASE)) > 1:
         b //= g
     return b
