@@ -172,6 +172,38 @@ def _free_powers(factors: dict[int, int], twos: int, g: int, odd_leg: bool) -> l
     return [[pk for pk in choice if pk > 1] for choice in product(*options)]
 
 
+def _band_walk(lo: int, hi: int, m: int) -> tuple[int, int, int, int]:
+    """count_stats' band figures over the Q in lo..hi: the totals in (pi/6, pi/4) and in
+    the tablet band, then their distinct counts, from the classes in the band alone.
+
+    Those are Euclid's u > v >= 1, coprime and of opposite parity, with
+    sqrt 3 < u/v < 2 + sqrt 3; the b-leg b0 is the longer of u*u - v*v and
+    2*u*v, so the band test at 1 + sqrt 2, where they swap, is the sort.  The
+    class meets the Q that L = b0/gcd(b0, m) divides, so only b0 <= m*hi
+    counts, and b0 grows with u.  About m*hi/12 pairs, no table.
+    """
+    top = m * hi
+    band = p322 = distinct_band = distinct_p322 = 0
+    v = 1
+    # r = floor(sqrt 3 * v): u > sqrt 3 * v is u > r, and (u - 2v)**2 < 3*v*v is u <= 2v + r
+    while 2 * v * ((r := isqrt(3 * v * v)) + 1) <= top:  # the least b0 of the band at this v
+        stop = min(2 * v + r, top // (2 * v), isqrt(top + v * v))  # and b0 <= top
+        for u in range(r + 1 + ((r + v) & 1), stop + 1, 2):
+            if gcd(u, v) == 1:
+                a, b = u * u - v * v, 2 * u * v
+                if a > b:
+                    a, b = b, a
+                leg = b // gcd(b, m)
+                if mult := hi // leg - (lo - 1) // leg:
+                    band += mult
+                    distinct_band += 1
+                    if _in_p322(a, b):
+                        p322 += mult
+                        distinct_p322 += 1
+        v += 1
+    return band, p322, distinct_band, distinct_p322
+
+
 def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
     """stats(enumerate_solutions(q_values, m)), counted by primitive leg with no divisor walk.
 
@@ -183,31 +215,48 @@ def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
     N = s*t into coprime s < t, one per pair of unitary divisors, with legs
     (t*t - s*s, 2*s*t) or half of them, so with the same bands.  The one
     solution missing is x = 1: the split s = 1 of odd n = m*L at Q = L.
+    A range wide enough for the sieve, at an m small next to its number of
+    divisors, counts the bands by _band_walk instead of by split.
     """
     qs = q_set(q_values, m)
     # the sieve costs a step per L to HIGH, each Q's divisors about sqrt(HIGH)/4 (measured at 10**6)
     sieve = isinstance(qs, range) and 4 * qs[-1] <= len(qs) * isqrt(qs[-1])
     legs = _range_legs(qs[0], qs[-1]) if sieve else _set_legs(qs)
     factors = factorize(m)
+    # the split walk tests 1.5 to 4.5 splits per divisor of m per L, the band walk about
+    # m*HIGH/12 pairs.  Over 1..2000 the band walk took 0.2 to 0.6 of the split walk's time up
+    # to m = 20*tau(m), about as long from 29*tau(m) to 36*tau(m) (m = 462, 250, 1260, 143),
+    # and 1.8 times as long at m = 1001 (125*tau(m)).  A window holds fewer L than HIGH, at
+    # least its width, so it needs m*HIGH/width below the bound
+    bands = sieve and m * qs[-1] <= 24 * len(qs) * prod(e + 1 for e in factors.values())
     twos = factors.pop(2, 0)
     powers = {p: p**e for p, e in factors.items()}  # m's odd prime powers
     radical = prod(powers)
     free = {(g, odd_leg): _free_powers(factors, twos, g, odd_leg)
             for g in divisors_from_factors(dict.fromkeys(powers, 1)) for odd_leg in (False, True)}
+    # N's classes double with each unitary part: the sum of 2**len(extra) over the choices, odd
+    # for the empty one, so halving drops N = 1, which has no class
+    weight = {key: sum(1 << len(extra) for extra in extras) for key, extras in free.items()}
     total = band = p322 = distinct = distinct_band = distinct_p322 = 0
     for leg, mult, member, pps in legs:
-        if (g := gcd(leg, radical)) > 1:  # g takes m's whole power of each prime of L
+        if (two := leg & -leg) == 2 and not twos:  # n = 2 (mod 4) for every g
+            continue
+        g = gcd(leg, radical)
+        # the parts of N from L: its odd prime powers, and one of 2 for even L
+        count = (weight[g, two == 1] << (len(pps) + (two > 1))) >> 1
+        total += mult * count
+        distinct += count
+        if member and (m * leg) & 1 and m * leg > 1:  # x = 1: the split s = 1 of n = m*L at Q = L
+            total, distinct = total - 1, distinct - (mult == 1)  # still distinct if another Q has it
+        if bands:
+            continue
+        if g > 1:  # g takes m's whole power of each prime of L
             pps = [pk * powers[p] if (p := gcd(pk, g)) > 1 else pk for pk in pps]
-        if (two := leg & -leg) > 1:
-            if two == 2 and not twos:  # n = 2 (mod 4) for every g
-                continue
+        if two > 1:
             pps = pps + [(two << twos) >> 1]
         for extra in free[g, two == 1]:
             if not (unitary := pps + extra):  # N = 1
                 continue
-            count = 1 << (len(unitary) - 1)
-            total += mult * count
-            distinct += count
             big = prod(unitary)
             splits = [1]
             for pk in unitary[1:]:  # unitary[0] stays in t, so each split comes once
@@ -223,8 +272,8 @@ def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
                         if _in_p322(a, b):
                             p322 += mult
                             distinct_p322 += 1
-        if member and (m * leg) & 1 and m * leg > 1:  # x = 1: the split s = 1 of n = m*L at Q = L
-            total, distinct = total - 1, distinct - (mult == 1)  # still distinct if another Q has it
+    if bands:  # x = 1 is never in the band
+        band, p322, distinct_band, distinct_p322 = _band_walk(qs[0], qs[-1], m)
     return SurveyStats(total, band, p322, distinct, distinct_band, distinct_p322)
 
 

@@ -265,6 +265,11 @@ def test_count_stats_to_5000(counts_to_5000):
     assert counts_to_5000 == SurveyStats(304219, 16996, 15564, 53651, 1683, 1460)
 
 
+def test_count_stats_to_100000():
+    # README's line, printed by the split walk before the band walk counted the bands
+    assert count_stats(range(1, 100001)) == SurveyStats(9928132, 440585, 398403, 1376826, 33653, 29158)
+
+
 def test_count_stats_total_is_the_divisor_count_sum(counts_to_5000):
     # x = 2x', y = 2y' with x'y' = (6Q)**2 and x' < 6Q: (tau(36 Q**2) - 1) / 2 per Q
     assert counts_to_5000.total == sum(
@@ -314,11 +319,20 @@ def _stream_stats(qs, m):
     return _tally((a, b) for _, _, _, a, b, _ in _sides(q_set(qs, m), m))
 
 
-def _refuse_divisor_walk(monkeypatch):
+def _refuse(monkeypatch, name):
     def refuse(*args, **kwargs):
-        raise AssertionError("walked the divisors")
+        raise AssertionError(f"called survey.{name}")
 
-    monkeypatch.setattr(survey, "_sides", refuse)
+    monkeypatch.setattr(survey, name, refuse)
+
+
+def _refuse_divisor_walk(monkeypatch):
+    _refuse(monkeypatch, "_sides")
+
+
+def _refuse_split_walk(monkeypatch):
+    # of count_stats, only the split walk tests (pi/6, pi/4) through _in_pi6_pi4
+    _refuse(monkeypatch, "_in_pi6_pi4")
 
 
 def _sorted_legs(legs):
@@ -380,6 +394,42 @@ def test_count_stats_across_sieve_segments(monkeypatch, m):
     monkeypatch.setattr(survey, "_set_legs", refuse)  # the range is wide enough for the sieve
     assert count_stats(qs, m) == want
     monkeypatch.setattr(survey, "_SEGMENT", 7)  # shorter than most primes the sieve divides by
+    assert count_stats(qs, m) == want
+
+
+# m*HIGH <= 24*width*tau(m) for every range drawn below, and never for the second set
+BAND_WALK_M = (1, 2, 7, 12, 60, 120, 210)
+SPLIT_WALK_M = (97, 250, 1001)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(BAND_WALK_M + SPLIT_WALK_M), st.integers(1, 100), st.integers(120, 500))
+def test_both_band_counts_match_the_divisor_stream_at_random(m, lo, width):
+    qs = range(lo, lo + width)
+    want = _stream_stats(qs, m)
+    with pytest.MonkeyPatch.context() as mp:
+        _refuse(mp, "_set_legs")  # every range drawn takes the sieve
+        if m in BAND_WALK_M:
+            _refuse_split_walk(mp)
+        else:
+            _refuse(mp, "_band_walk")
+        assert count_stats(qs, m) == want
+
+
+def test_band_walk_counts_the_benchmark_window(monkeypatch):
+    qs = range(16, 1516)
+    want = _stream_stats(qs, 12)
+    _refuse_split_walk(monkeypatch)
+    assert count_stats(qs, 12) == want
+
+
+@pytest.mark.parametrize("qs,m", [
+    ([1125], 12), (p322_q_set(), 12), (range(1000, 1101), 12), (range(1, 301), 1001),
+    (range(1, 41), 720720),
+], ids=["Q 1125", "Q-set p322", "narrow window", "M 1001", "M 720720"])
+def test_split_walk_counts_sets_windows_and_large_m(monkeypatch, qs, m):
+    want = _stream_stats(qs, m)
+    _refuse(monkeypatch, "_band_walk")
     assert count_stats(qs, m) == want
 
 
