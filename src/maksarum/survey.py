@@ -224,10 +224,10 @@ def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
     legs = _range_legs(qs[0], qs[-1]) if sieve else _set_legs(qs)
     factors = factorize(m)
     # the split walk tests 1.5 to 4.5 splits per divisor of m per L, the band walk about
-    # m*HIGH/12 pairs.  Over 1..2000 the band walk took 0.2 to 0.6 of the split walk's time up
-    # to m = 20*tau(m), about as long from 29*tau(m) to 36*tau(m) (m = 462, 250, 1260, 143),
-    # and 1.8 times as long at m = 1001 (125*tau(m)).  A window holds fewer L than HIGH, at
-    # least its width, so it needs m*HIGH/width below the bound
+    # m*HIGH/12 pairs.  Over 1..2000 the band walk took 0.25 to 0.71 of the split walk's time
+    # up to m = 20*tau(m), 0.56 to 1.01 from 26*tau(m) to 36*tau(m), and 2.1 times as long at
+    # m = 1001 (125*tau(m)).  A window holds fewer L than HIGH, at least its width, so it
+    # needs m*HIGH/width below the bound
     bands = sieve and m * qs[-1] <= 24 * len(qs) * prod(e + 1 for e in factors.values())
     twos = factors.pop(2, 0)
     powers = {p: p**e for p, e in factors.items()}  # m's odd prime powers

@@ -326,10 +326,6 @@ def _refuse(monkeypatch, name):
     monkeypatch.setattr(survey, name, refuse)
 
 
-def _refuse_divisor_walk(monkeypatch):
-    _refuse(monkeypatch, "_sides")
-
-
 def _refuse_split_walk(monkeypatch):
     # of count_stats, only the split walk tests (pi/6, pi/4) through _in_pi6_pi4
     _refuse(monkeypatch, "_in_pi6_pi4")
@@ -359,7 +355,7 @@ def test_class_counts_match_the_divisor_stream(monkeypatch, m, lo, hi):
     # split s = 1 of n = M*L) at Q = L; every source of L agrees on the range
     assert _legs_agree(lo, hi)
     want = _stream_stats(range(lo, hi + 1), m)
-    _refuse_divisor_walk(monkeypatch)
+    _refuse(monkeypatch, "_sides")  # the divisor walk
     assert count_stats(range(lo, hi + 1), m) == want
     assert count_stats(list(range(lo, hi + 1)), m) == want
 
@@ -387,11 +383,7 @@ def test_count_stats_across_sieve_segments(monkeypatch, m):
     qs = range(survey._SEGMENT - 1000, survey._SEGMENT + 150)  # HIGH passes the first segment
     want = _stream_stats(qs, m)
     assert _legs_agree(qs[0], qs[-1])
-
-    def refuse(qs):
-        raise AssertionError("took the divisors of each Q")
-
-    monkeypatch.setattr(survey, "_set_legs", refuse)  # the range is wide enough for the sieve
+    _refuse(monkeypatch, "_set_legs")  # the range is wide enough for the sieve
     assert count_stats(qs, m) == want
     monkeypatch.setattr(survey, "_SEGMENT", 7)  # shorter than most primes the sieve divides by
     assert count_stats(qs, m) == want
