@@ -77,30 +77,32 @@ class _Decimal(argparse.Action):
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     reports = tablet.reconstruct_all()
+    rows = tablet.corrected_table()
     with _output(args.out) as fp:
         if args.format in ("csv", "tsv"):
-            text = tablet.to_tsv()
-            fp.write(text.replace("\t", ",") if args.format == "csv" else text)
-            return 0 if all(r.ok for r in reports) else 1
-        rows = tablet.corrected_table()
-        for rep in reports:
-            row = rows[rep.index - 1]
-            t = row.triple
-            f = row.fourth
-            status = "PASS" if rep.ok else "FAIL"
-            fp.write(
-                f"row {rep.index:2d} {status}  a={t.a} b={t.b} d={t.d} Q={row.q} "
-                f"fourth={f}\n"
-            )
-            if not rep.ok:
-                for check in rep.checks:
-                    if not check.ok:
-                        fp.write(f"        {check.field}: expected {check.expected}, got {check.got}\n")
-        if args.show_errors:
-            for model in tablet.explain_errors():
-                mark = "reproduced" if model.reproduced else "NOT reproduced"
-                fp.write(f"row {model.index:2d} error [{model.kind}] {mark}: {model.description}\n")
-        return 0 if all(r.ok for r in reports) else 1
+            header = "index fourth_coefficient fourth_shift a b d Q error_kind raw_a raw_d".split()
+            _emit(header, (
+                [str(v) for v in (row.index, *row.fourth, *row.triple, row.q)]
+                + [row.error_kind, row.raw_a, row.raw_d]
+                for row in rows
+            ), args.format, fp)
+        else:
+            for rep, row in zip(reports, rows):
+                t = row.triple
+                status = "PASS" if rep.ok else "FAIL"
+                fp.write(
+                    f"row {rep.index:2d} {status}  a={t.a} b={t.b} d={t.d} Q={row.q} "
+                    f"fourth={row.fourth}\n"
+                )
+                if not rep.ok:
+                    for check in rep.checks:
+                        if not check.ok:
+                            fp.write(f"        {check.field}: expected {check.expected}, got {check.got}\n")
+            if args.show_errors:
+                for model in tablet.explain_errors():
+                    mark = "reproduced" if model.reproduced else "NOT reproduced"
+                    fp.write(f"row {model.index:2d} error [{model.kind}] {mark}: {model.description}\n")
+    return 0 if all(r.ok for r in reports) else 1
 
 
 # --- generate ---------------------------------------------------------------
@@ -113,10 +115,10 @@ def _qtable_fourth(sol, decimal: bool) -> str:
         return f"{to_string(Sexagesimal(sol.fourth.coefficient))} S-{sol.fourth.shift}"
     # decimal tables carry the squared-mantissa convention: shift 2m with b | 60**m
     try:
-        m = regular_power(sol.b)
+        m = regular_power(sol.triple.b)
     except IrregularError:
         return "" if sol.fourth is None else str(sol.fourth)
-    atil = sol.triple.a * 60**m // sol.b
+    atil = sol.triple.a * 60**m // sol.triple.b
     return f"{atil * atil}S-{2 * m}"
 
 
@@ -124,7 +126,7 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], Iterator[lis
     header = ["x", "y", "b", "a", "d", "a2", "fourth"]
     cell = str if decimal else (lambda c: to_string(Sexagesimal(c)))
     return header, (
-        [cell(c) for c in (sol.x, sol.y, sol.b, sol.triple.a, sol.triple.d, sol.triple.a ** 2)]
+        [cell(c) for c in (sol.x, sol.y, sol.triple.b, sol.triple.a, sol.triple.d, sol.triple.a ** 2)]
         + [_qtable_fourth(sol, decimal)]
         for sol in survey.enumerate_solutions([q], m=m)  # checks M and Q now
     )

@@ -53,9 +53,6 @@ class Triple(NamedTuple("Triple", [("a", int), ("b", int), ("d", int)])):
     def scaled(self, k: int) -> "Triple":
         return Triple(self.a * k, self.b * k, self.d * k)
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.d)
-
 
 class FourthColumn(NamedTuple):
     """Exact ratio column value a**2/b**2 = coefficient * 60**-shift, shift minimal.
@@ -111,10 +108,6 @@ class GeneratorSolution(NamedTuple):
     m: int
     triple: Triple
     fourth: FourthColumn | None
-
-    @property
-    def b(self) -> int:
-        return self.triple.b
 
 
 def solution(q: int, x: int, y: int, a: int, b: int, d: int, m: int, r: int) -> GeneratorSolution:

@@ -39,20 +39,6 @@ class IrregularError(SexagesimalError):
     """A value has no finite base-60 representation (prime factor not in 2,3,5)."""
 
 
-def is_regular(n: int) -> bool:
-    """True iff n >= 1 factors entirely into 2, 3 and 5.
-
-    Exactly the integers with terminating base-60 reciprocals; irregular
-    numbers (7, 11, ...) are the ones ancient reciprocal tables avoid.
-    """
-    if n < 1:
-        raise ValueError(f"is_regular expects n >= 1, got {n}")
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
 def regular_power(den: int) -> int:
     """Least k with den | 60**k, or IrregularError if no such k exists."""
     if den < 1:

@@ -71,13 +71,16 @@ def _band_test(band: str):
 def q_set(q_values: Iterable[int], m: int = 12) -> Sequence[int]:
     """The scale generators sorted and deduplicated; ValueError on bad input.
 
-    An ascending step-1 range is already both and is returned as it is, so a
-    wide --Q-range holds two integers rather than a list and a set.
+    A set with no gap is returned as range(lo, hi + 1), whatever held it, so
+    count_stats takes one path per set and a wide --Q-range holds two
+    integers rather than a list and a set.
     """
-    if isinstance(q_values, range) and q_values.step == 1:
-        qs = q_values
+    if isinstance(q_values, range) and abs(q_values.step) == 1:
+        qs = q_values if q_values.step == 1 else q_values[::-1]
     else:
         qs = sorted(set(q_values))
+        if qs and len(qs) == qs[-1] - qs[0] + 1:
+            qs = range(qs[0], qs[-1] + 1)
     if not qs:
         raise ValueError("empty Q set")
     if m < 1 or qs[0] < 1:
@@ -148,7 +151,7 @@ def _set_legs(qs: Sequence[int]) -> Iterator[tuple[int, int, bool, list[int]]]:
     """_range_legs from the divisors of each Q, their prime powers read off Q's.  A range
     yields each L at its first multiple and counts the rest, so keeps no table."""
     ranged, lo, hi = isinstance(qs, range), qs[0], qs[-1]
-    found: dict[int, list] = {}  # L -> [mult, odd prime powers], for a set that is no range
+    found: dict[int, list] = {}  # L -> [mult, odd prime powers], for a set with gaps
     for q in qs:
         factors = factorize(q)
         odd = [p**e for p, e in factors.items() if p > 2]

@@ -40,10 +40,6 @@ class TabletRow(NamedTuple):
         return self.triple.d - self.triple.a
 
     @property
-    def y(self) -> int:
-        return self.triple.d + self.triple.a
-
-    @property
     def fourth(self) -> FourthColumn:
         return fourth_column(self.triple)
 
@@ -227,7 +223,7 @@ def congruence_report() -> CongruenceReport:
     """
     lines = []
     for row in _TABLE:
-        a, b, d = row.triple.as_tuple()
+        a, b, d = row.triple
         g = gcd(gcd(a, b), d)
         while g % 60 == 0:
             a, b, d, g = a // 60, b // 60, d // 60, g // 60
@@ -265,19 +261,3 @@ def prime_report() -> PrimeReport:
         PrimeLine(row.index, is_prime(row.triple.a), is_prime(row.triple.d)) for row in _TABLE
     )
     return PrimeReport(lines, 53, is_prime(53))
-
-
-TSV_HEADER = "index\tfourth_coefficient\tfourth_shift\ta\tb\td\tQ\terror_kind\traw_a\traw_d"
-
-
-def to_tsv() -> str:
-    """The golden tabular export of the corrected dataset."""
-    lines = [TSV_HEADER]
-    for row in _TABLE:
-        f = row.fourth
-        t = row.triple
-        lines.append(
-            f"{row.index}\t{f.coefficient}\t{f.shift}\t{t.a}\t{t.b}\t{t.d}\t{row.q}"
-            f"\t{row.error_kind}\t{row.raw_a}\t{row.raw_d}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
 import io
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 from maksarum import cli, partitions, survey
 from maksarum.cli import main
@@ -82,6 +84,44 @@ def test_generate_sexagesimal_mode(capsys):
     assert lines[1].split("\t")[:3] == ["02", "02~00~00", "02~00"]
     row1 = next(line for line in lines if line.startswith("50\t"))
     assert row1.split("\t")[-1] == "59~00~15 S-3"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--bounded", "3"], ["generate", "--Q", "5", "--decimal"], ["partitions", "--standard"],
+])
+def test_table_lines_up_the_tsv_cells(capsys, argv):
+    # the default --format: the tsv cells, header included, each column at one offset
+    _, tsv = run(capsys, *argv, "--format", "tsv")
+    code, table = run(capsys, *argv)
+    assert code == 0
+    lines = table.splitlines()
+    starts = [cell.start() for cell in re.finditer(r"\S+", lines[0])]
+    assert len(lines) == len(tsv.splitlines()) > 1
+    for line, want in zip(lines, tsv.splitlines()):
+        cells = list(re.finditer(r"\S+", line))
+        assert [cell.start() for cell in cells] == starts, line
+        assert [cell.group() for cell in cells] == want.split("\t")
+
+
+@pytest.mark.parametrize("decimal", [False, True])
+def test_irregular_q_fourth_cells(capsys, decimal):
+    # b = 84 = 12 * 7: a cell is blank exactly when the reduced a**2/b**2 keeps a prime above 5
+    _, out = run(capsys, "generate", "--Q", "7", *(["--decimal"] if decimal else []), "--format", "tsv")
+    _, sides = run(capsys, "generate", "--Q", "7", "--decimal", "--format", "tsv")
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert len(rows) == 13 and sum(row[-1] == "" for row in rows) == 9
+    for row, side in zip(rows, sides.splitlines()[1:]):
+        x, _, b, a = map(int, side.split("\t")[:4])
+        cell = row[-1]
+        irregular = max(sympy.factorint(Fraction(a * a, b * b).denominator), default=1) > 5
+        assert (cell == "") == irregular, side
+        if cell:
+            mantissa, shift = cell.split("S-")
+            coeff, shift = int(mantissa) if decimal else _read_base60(mantissa.rstrip()), int(shift)
+            assert coeff * b * b == a * a * 60**shift
+            assert shift == 0 or a * a * 60 ** (shift - 1) % (b * b)  # and no lesser shift would do
+        if x == 42:
+            assert cell == ("2025S-2" if decimal else "33~45 S-2")
 
 
 def test_generate_bounded_window(capsys):
@@ -440,6 +480,14 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
         assert err == "maksarum: --bounded K must be >= 0, got -1\n"
     if argv == ["pi", "--digits", "9"]:
         assert err == "maksarum: --digits K must be in 1..8, got 9\n"
+
+
+@pytest.mark.parametrize("argv", [["generate", "--Q", "5"], ["reconstruct", "--format", "tsv"]])
+def test_unwritable_out_is_one_line_exit_1(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 1  # a directory
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"maksarum: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 @pytest.mark.parametrize("argv, m", [

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from maksarum.sexagesimal import (
@@ -10,7 +11,6 @@ from maksarum.sexagesimal import (
     ParseError,
     PlaceValue,
     Sexagesimal,
-    is_regular,
     parse,
     place_value_equal,
     reciprocal,
@@ -103,11 +103,6 @@ def test_normalization_invariants():
     assert all(0 <= d < 60 for d in v.digits)
     z = Sexagesimal(0, 5)
     assert z.frac_len == 0 and z.scaled == 0 and z.digits == [0]
-
-
-@pytest.mark.parametrize("n,expected", [(54, True), (7, False), (8161, False), (1, True), (1000000, True), (999999, False), (2 ** 10 * 3 ** 5 * 5 ** 3, True)])
-def test_is_regular(n, expected):
-    assert is_regular(n) is expected
 
 
 @pytest.mark.parametrize(
@@ -208,11 +203,18 @@ def test_reciprocal_contract_property(x):
     num = x.value.numerator
     if x.is_zero:
         return
-    if is_regular(num):
+    if max(sympy.factorint(num), default=1) <= 5:  # num is regular
         assert place_value_equal(x.value * reciprocal(x).value, 1)
     else:
         with pytest.raises(IrregularError):
             reciprocal(x)
+
+
+def test_place_value_with_a_positive_shift():
+    pv = PlaceValue(12, 2)  # the shift strips the two trailing zero digits of 43200
+    assert repr(pv) == "PlaceValue(12, 2)"
+    assert (pv.shift, pv.mantissa, to_string(pv)) == (2, 12, "12~00~00")
+    assert pv == 43200
 
 
 def test_ordering_examples():

@@ -62,7 +62,7 @@ def test_q6_parity_exclusions():
 def test_enumerate_matches_brute_force(q):
     # the scan costs (m*q)**2 / 4 steps: about 0.2 s at m*q = 60*30
     for m in (1, 5, 12, 60):
-        mine = sorted(r.triple.as_tuple() for r in enumerate_solutions([q], m))
+        mine = sorted(tuple(r.triple) for r in enumerate_solutions([q], m))
         assert mine == brute_force_triples(q, m), f"M = {m}"
 
 
@@ -155,8 +155,8 @@ def test_p322_selection():
     assert len(sel) == 15
     corrected = [row.triple for row in corrected_table()]
     # class-level bijection with the tablet
-    assert {primitive_reduce(t).as_tuple() for t in sel} == {
-        primitive_reduce(t).as_tuple() for t in corrected
+    assert {tuple(primitive_reduce(t)) for t in sel} == {
+        tuple(primitive_reduce(t)) for t in corrected
     }
     # fourteen rows are selected verbatim; the 3-4-5 class keeps its 60x form
     verbatim = [t for t in sel if t in corrected]
@@ -231,9 +231,18 @@ def test_enumerate_rejects_bad_input():
 def test_q_set_keeps_a_step_one_range():
     qs = range(3, 100001)
     assert q_set(qs) is qs
-    assert q_set(range(9, 2, -1)) == list(range(3, 10))
+    assert q_set(range(9, 2, -1)) == range(3, 10)
     assert q_set(range(3, 10, 2)) == [3, 5, 7, 9]
     assert q_set([5, 3, 5]) == [3, 5]
+
+
+@pytest.mark.parametrize("holder", [list, set])
+def test_a_set_with_no_gap_takes_one_path_whatever_holds_it(monkeypatch, holder):
+    qs = range(16, 1516)
+    assert q_set(holder(qs)) == qs and q_set([7, 5]) == [5, 7]
+    want = count_stats(qs)
+    _refuse(monkeypatch, "_set_legs")  # the range is wide enough for the sieve
+    assert count_stats(holder(qs)) == want
 
 
 def test_enumerate_other_bundling_factors():
@@ -241,9 +250,9 @@ def test_enumerate_other_bundling_factors():
     assert [(r.x, r.y) for r in recs] == [(2, 18)]
     assert recs[0].triple == Triple(8, 6, 10)
     # the factor-3 and factor-60 readings cover the same triples
-    t3 = {r.triple.as_tuple() for r in enumerate_solutions([40], m=3)}
-    t12 = {r.triple.as_tuple() for r in enumerate_solutions([10], m=12)}
-    t60 = {r.triple.as_tuple() for r in enumerate_solutions([2], m=60)}
+    t3 = {tuple(r.triple) for r in enumerate_solutions([40], m=3)}
+    t12 = {tuple(r.triple) for r in enumerate_solutions([10], m=12)}
+    t60 = {tuple(r.triple) for r in enumerate_solutions([2], m=60)}
     assert t3 == t12 == t60
 
 

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import pytest
 
 from maksarum.factor import Triple, angle_fraction
@@ -15,10 +13,7 @@ from maksarum.tablet import (
     reconstruct,
     reconstruct_all,
     row15_repairs,
-    to_tsv,
 )
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_q_column():
@@ -114,10 +109,6 @@ def test_rows_sort_to_tablet_order():
 
 def test_p322_q_set():
     assert p322_q_set() == [5, 6, 10, 20, 30, 50, 80, 200, 225, 288, 400, 540, 1125]
-
-
-def test_tsv_matches_golden():
-    assert to_tsv() == (GOLDEN / "tablet.tsv").read_text()
 
 
 def test_raw_fourth_has_diagonal_leading_one():
