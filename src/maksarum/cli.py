@@ -20,8 +20,8 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import circle, partitions, survey, tablet
-from .factor import fourth_column
-from .sexagesimal import IrregularError, Sexagesimal, parse as parse_number, regular_power, to_string
+from .factor import fourth_column, prime_to_60, solution
+from .sexagesimal import IrregularError, paper_text, parse as parse_number, regular_power, to_string
 
 # cli is the program's entry module: what is loaded by now lives until exit.  Frozen
 # objects move to the permanent generation, so neither a gen-2 collection during a long
@@ -76,6 +76,8 @@ class _Decimal(argparse.Action):
 # --- reconstruct ------------------------------------------------------------
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    if args.show_errors and args.format != "table":
+        raise ValueError("--show-errors applies only to --format table")
     reports = tablet.reconstruct_all()
     rows = tablet.corrected_table()
     with _output(args.out) as fp:
@@ -112,7 +114,7 @@ def _qtable_fourth(sol, decimal: bool) -> str:
         # minimal-shift form, e.g. 59~00~15 S-3
         if sol.fourth is None:
             return ""
-        return f"{to_string(Sexagesimal(sol.fourth.coefficient))} S-{sol.fourth.shift}"
+        return f"{paper_text(sol.fourth.coefficient)} S-{sol.fourth.shift}"
     # decimal tables carry the squared-mantissa convention: shift 2m with b | 60**m
     try:
         m = regular_power(sol.triple.b)
@@ -124,11 +126,12 @@ def _qtable_fourth(sol, decimal: bool) -> str:
 
 def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], Iterator[list[str]]]:
     header = ["x", "y", "b", "a", "d", "a2", "fourth"]
-    cell = str if decimal else (lambda c: to_string(Sexagesimal(c)))
+    qs = survey.q_set([q], m)  # checks M and Q now
+    r = prime_to_60(m * q)
+    cell = str if decimal else paper_text
     return header, (
-        [cell(c) for c in (sol.x, sol.y, sol.triple.b, sol.triple.a, sol.triple.d, sol.triple.a ** 2)]
-        + [_qtable_fourth(sol, decimal)]
-        for sol in survey.enumerate_solutions([q], m=m)  # checks M and Q now
+        [cell(c) for c in (x, y, b, a, d, a * a)] + [_qtable_fourth(solution(q, x, y, a, b, d, m, r), decimal)]
+        for q, x, y, a, b, d in survey._sides(qs, m)
     )
 
 
@@ -137,7 +140,7 @@ def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], It
     sides = enumerate(partitions._bounded_sides(m, k, x_range), 1)  # checks M, K and the range now
     if not decimal:
         return ["place", "X", "Y", "A", "D"], (
-            [str(place)] + [to_string(Sexagesimal(v, k)) for v in (x, y, a, d)]
+            [str(place), paper_text(x, k), paper_text(y, k), paper_text(a, k), paper_text(d, k)]
             for place, (_, x, y, a, _, d) in sides
         )
     return ["place", "b", "d", "a", "ratio"], (
@@ -216,23 +219,26 @@ def cmd_survey(args: argparse.Namespace) -> int:
 # --- partitions -------------------------------------------------------------
 
 def cmd_partitions(args: argparse.Namespace) -> int:
-    if args.m < 1:  # the --standard table does not read M, so no later step would catch it
-        raise ValueError(f"M must be >= 1, got {args.m}")
+    m = 12 if args.m is None else args.m
+    if m < 1:
+        raise ValueError(f"M must be >= 1, got {m}")
+    if args.standard and args.m is not None:  # the thirty reciprocal pairs read no M
+        raise ValueError("--M applies only to plain partitions and --scaled")
     if args.standard or args.scaled:
         header = ["n", "nbar"] if args.standard else ["X", "Y"]
         # n * nbar = 60, so (n * M/12) * (nbar * M/5) = M**2
-        u, v = Fraction(args.m, 12), Fraction(args.m, 5)
+        u, v = Fraction(m, 12), Fraction(m, 5)
         rows = []
         for pair in partitions.standard_table():
             if args.standard:
                 rows.append([to_string(pair.n), to_string(pair.nbar)])
             else:
-                scaled = partitions.scale_to_partition(pair, u, v, args.m)
+                scaled = partitions.scale_to_partition(pair, u, v, m)
                 rows.append([to_string(scaled.x), to_string(scaled.y)])
     else:
         header = ["place", "X", "Y", "A", "D"]
         rows = []
-        for place, pair, a_side, d_side in partitions.partition_table(args.m):
+        for place, pair, a_side, d_side in partitions.partition_table(m):
             rows.append(
                 [str(place) if place is not None else "none"]
                 + [to_string(v) for v in (pair.x, pair.y, a_side, d_side)]
@@ -272,7 +278,7 @@ def cmd_giza(args: argparse.Namespace) -> int:
     q, t = partitions.pair_solution(pair)
     f = fourth_column(t)
     print(f"X = {to_string(pair.x)}  Y = {to_string(pair.y)}")
-    print(f"Q = {q} = {to_string(Sexagesimal(int(q)))}")
+    print(f"Q = {q} = {paper_text(int(q))}")
     print(f"triple: a={t.a} b={t.b} d={t.d}")
     print(f"fourth = {f}")
     print(f"theta = {degrees(atan2(t.a, t.b)):.12f} deg")
@@ -328,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = p.add_mutually_exclusive_group()
     kind.add_argument("--standard", action="store_true", help="the thirty reciprocal pairs")
     kind.add_argument("--scaled", action="store_true", help="the pairs rescaled to product M^2")
-    p.add_argument("--M", dest="m", action=_Decimal, default=12)
+    p.add_argument("--M", dest="m", action=_Decimal, default=None, help="bundling factor (default 12)")
     p.add_argument("--format", choices=["table", "csv", "tsv"], default="table")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_partitions)

@@ -23,6 +23,8 @@ import math
 import operator
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 BASE = 60
 
@@ -53,15 +55,15 @@ def regular_power(den: int) -> int:
     return k
 
 
-def _expand(n: int, width: int, symbols: "tuple[str, ...] | range") -> list:
-    """symbols[d] for each base-60 digit d of n >= 0, most significant first, zero-padded to width."""
-    out = []
-    while n:
-        n, d = divmod(n, BASE)
-        out.append(symbols[d])
-    out.extend([symbols[0]] * (width - len(out)))
-    out.reverse()
-    return out
+def _normal(scaled: int, frac_len: int) -> tuple[int, int]:
+    """(scaled, frac_len) less its trailing zero fractional digits, two at a time where it can."""
+    while frac_len > 1 and not scaled % 3600:
+        scaled //= 3600
+        frac_len -= 2
+    if frac_len and not scaled % BASE:
+        scaled //= BASE
+        frac_len -= 1
+    return scaled, frac_len
 
 
 def _comparison(op):
@@ -97,13 +99,7 @@ class Sexagesimal:
             raise ValueError(f"sexagesimal values are nonnegative, got {scaled}/60**{frac_len}")
         if frac_len < 0:
             raise ValueError(f"frac_len must be >= 0, got {frac_len}")
-        while frac_len > 0 and scaled % BASE == 0:
-            scaled //= BASE
-            frac_len -= 1
-        if scaled == 0:
-            frac_len = 0
-        self._scaled = scaled
-        self._frac_len = frac_len
+        self._scaled, self._frac_len = _normal(scaled, frac_len)  # zero keeps no fractional digit
 
     @classmethod
     def _of(cls, scaled: int, frac_len: int):
@@ -155,15 +151,18 @@ class Sexagesimal:
 
     @property
     def int_digits(self) -> list[int]:
-        return _expand(self._scaled // BASE**self._frac_len, 1, range(BASE))
+        digits = self.digits
+        return digits[:len(digits) - self._frac_len]
 
     @property
     def frac_digits(self) -> list[int]:
-        return _expand(self._scaled % BASE**self._frac_len, self._frac_len, range(BASE))
+        digits = self.digits
+        return digits[len(digits) - self._frac_len:]
 
     @property
     def digits(self) -> list[int]:
-        return _expand(self._scaled, self._frac_len + 1, range(BASE))
+        """Every base-60 digit, most significant first: at least one whole, then frac_len."""
+        return list(map(int, paper_text(self._scaled, self._frac_len).replace(".~", "~").split("~")))
 
     __eq__ = _comparison(operator.eq)
     __lt__ = _comparison(operator.lt)
@@ -339,7 +338,34 @@ def _split_groups(part: str, sep: str, whole: str) -> list[int]:
 
 # --- formatting -------------------------------------------------------------
 
-_DIGIT_TEXT = tuple(f"{d:02d}" for d in range(BASE))  # the two-character text of each digit
+@cache  # on first use, so commands that write no numeral skip its 0.25 MiB
+def _digit_pairs() -> tuple[str, ...]:
+    """The text "hi~lo" of each r = 60*hi + lo below 60**2, each digit two characters."""
+    return tuple(map("~".join, product([f"{d:02d}" for d in range(BASE)], repeat=2)))
+
+
+def paper_text(scaled: int, frac_len: int = 0) -> str:
+    """The paper-style text of scaled / 60**frac_len, for ints >= 0: two characters per
+    digit, at least one digit before the radix ".~", and no trailing zero fractional
+    digit.  The text of every numeral; two digits come from each divmod by 60**2."""
+    if scaled < 0 or frac_len < 0:
+        raise ValueError(f"scaled and frac_len must be >= 0, got {scaled} and {frac_len}")
+    scaled, frac_len = _normal(scaled, frac_len)
+    pairs = _digit_pairs()
+    out = []
+    while scaled:
+        scaled, r = divmod(scaled, 3600)
+        out.append(pairs[r])
+    if 2 * len(out) <= frac_len:
+        out += ["00~00"] * (frac_len // 2 + 1 - len(out))
+    out.reverse()
+    text = "~".join(out)
+    if 2 * len(out) > frac_len + 1 and text.startswith("00"):  # one leading digit too many
+        text = text[3:]
+    if not frac_len:
+        return text
+    cut = len(text) - 3 * frac_len  # the "~" before the fractional digits
+    return f"{text[:cut]}.~{text[cut + 1:]}"
 
 
 def to_string(value: "Sexagesimal | int | Fraction", style: str = "paper") -> str:
@@ -347,15 +373,11 @@ def to_string(value: "Sexagesimal | int | Fraction", style: str = "paper") -> st
     if style not in ("paper", "colon"):
         raise ValueError(f"unknown style {style!r}")
     value = _numeral(value)
-    if isinstance(value, PlaceValue) and value.frac_len:
-        return f"{to_string(value.mantissa, style)} S-{value.frac_len}"
-    sep, radix = ("~", ".~") if style == "paper" else (":", ";")
-    f = value.frac_len
-    digits = _expand(value.scaled, f + 1, _DIGIT_TEXT)
-    if not f:
-        return sep.join(digits)
-    cut = len(digits) - f
-    return sep.join(digits[:cut]) + radix + sep.join(digits[cut:])
+    if isinstance(value, PlaceValue) and value.frac_len:  # scaled is then the mantissa
+        text = f"{paper_text(value.scaled)} S-{value.frac_len}"
+    else:
+        text = paper_text(value.scaled, value.frac_len)
+    return text if style == "paper" else text.replace(".~", ";").replace("~", ":")
 
 
 # --- derived operations -----------------------------------------------------

@@ -69,7 +69,8 @@ def _band_test(band: str):
 
 
 def q_set(q_values: Iterable[int], m: int = 12) -> Sequence[int]:
-    """The scale generators sorted and deduplicated; ValueError on bad input.
+    """The scale generators sorted and deduplicated; TypeError for a Q that is no int,
+    ValueError for an empty set or a Q or M below 1.
 
     A set with no gap is returned as range(lo, hi + 1), whatever held it, so
     count_stats takes one path per set and a wide --Q-range holds two
@@ -78,7 +79,11 @@ def q_set(q_values: Iterable[int], m: int = 12) -> Sequence[int]:
     if isinstance(q_values, range) and abs(q_values.step) == 1:
         qs = q_values if q_values.step == 1 else q_values[::-1]
     else:
-        qs = sorted(set(q_values))
+        qs = list(q_values)
+        for q in qs:
+            if not isinstance(q, int):
+                raise TypeError(f"Q must be an int, got {q!r}")
+        qs = sorted(set(qs))
         if qs and len(qs) == qs[-1] - qs[0] + 1:
             qs = range(qs[0], qs[-1] + 1)
     if not qs:

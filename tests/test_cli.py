@@ -65,7 +65,11 @@ def test_survey_band_scoped_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("q", [5, 6, 10, 20, 30, 50, 80, 200, 225, 288, 400, 540, 1125])
-def test_qtable_goldens(capsys, q):
+def test_qtable_goldens(monkeypatch, capsys, q):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rows were held as a list of solutions")
+
+    monkeypatch.setattr(survey, "enumerate_solutions", refuse)  # rows stream from the walk
     code, out = run(capsys, "generate", "--Q", str(q), "--decimal", "--format", "tsv")
     assert code == 0
     assert out == (GOLDEN / f"qtable_{q}.tsv").read_text()
@@ -162,6 +166,17 @@ def test_bounded_rows_are_the_pair_fractions(monkeypatch, capsys, m, k):
     _, out = run(capsys, *argv, "--decimal")
     rows = [line.split("\t")[1:4] for line in out.splitlines()[1:]]
     assert rows == [[str(t.b), str(t.d), str(t.a)] for t in triples]
+
+
+@pytest.mark.parametrize("m, fmt, rows", [("12", "table", 2021), ("20", "tsv", 1997)])
+def test_bounded_22_cells_parse_back_to_their_pairs(capsys, m, fmt, rows):
+    _, out = run(capsys, "generate", "--bounded", "22", "--M", m, "--format", fmt)
+    lines = out.splitlines()[1:]
+    assert len(lines) == rows
+    for line in lines:
+        x, y, a, d = sides = [parse(cell).value for cell in line.split()[1:]]
+        assert (x * y, a, d) == (int(m) ** 2, (y - x) / 2, (y + x) / 2)
+        assert all(60**22 % v.denominator == 0 for v in sides)  # at most 22 fractional digits
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -453,6 +468,11 @@ def test_usage_errors():
     ["survey", "--Q-range", "1:5", "--report", "--bin-width", "nan"],
     ["survey", "--Q", "5", "--out", "F", "--histogram-out", "F"],
     ["survey", "--Q", "5", "--out", "F", "--histogram-out", "./F"],
+    # options the command would ignore
+    ["reconstruct", "--format", "csv", "--show-errors"],
+    ["reconstruct", "--format", "tsv", "--show-errors", "--out", "t.tsv"],
+    ["partitions", "--standard", "--M", "5"],
+    ["partitions", "--standard", "--M", "12"],
     # integers are ASCII decimal digits: int() alone reads "1_0" as 10 and "\u0663" as 3
     ["survey", "--Q-range", "1_0:2_0", "--report"],
     ["survey", "--Q-range", "\u0663:\u0665", "--report"],

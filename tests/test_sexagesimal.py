@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from maksarum.sexagesimal import (
     IrregularError,
     ParseError,
     PlaceValue,
     Sexagesimal,
+    paper_text,
     parse,
     place_value_equal,
     reciprocal,
@@ -189,6 +190,50 @@ def test_place_value_to_string_matches_fraction_expansion(mantissa, shift, style
         n += 1
     expected = _expected_text(value * 60**n, style) + (f" S-{n}" if n else "")
     assert to_string(PlaceValue(mantissa, shift), style) == expected
+
+
+def _divmod_digits(scaled: int, frac_len: int) -> tuple[list[int], int]:
+    """The digits of scaled / 60**frac_len, one divmod by 60 each, most significant first,
+    at least one before the radix, with the trailing zero fractional digits dropped."""
+    digits = []
+    while scaled or len(digits) <= frac_len:
+        scaled, d = divmod(scaled, 60)
+        digits.append(d)
+    digits.reverse()
+    while frac_len and digits[-1] == 0:
+        digits.pop()
+        frac_len -= 1
+    return digits, frac_len
+
+
+@given(st.lists(st.integers(min_value=0, max_value=59), min_size=1, max_size=60),
+       st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=70),
+       st.sampled_from(["paper", "colon"]))
+@example([0], 0, 3, "paper")  # zero
+@example([1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], 0, 11, "colon")  # 60**11 + 1 > 2**64
+def test_text_matches_a_divmod_loop(digits, zeros, frac_len, style):
+    scaled = 0
+    for d in digits + [0] * zeros:  # trailing zeros to strip when frac_len reaches them
+        scaled = scaled * 60 + d
+    want, f = _divmod_digits(scaled, frac_len)
+    sep, radix = ("~", ".~") if style == "paper" else (":", ";")
+    cells = [f"{d:02d}" for d in want]
+    whole = sep.join(cells[:len(cells) - f])
+    text = whole + radix + sep.join(cells[len(cells) - f:]) if f else whole
+    value = Sexagesimal(scaled, frac_len)
+    assert to_string(value, style) == text
+    if style == "paper":
+        assert paper_text(scaled, frac_len) == text
+    assert (value.digits, value.int_digits, value.frac_digits) == (want, want[:len(want) - f], want[len(want) - f:])
+    # a PlaceValue writes its mantissa, the digits with no leading or trailing zero, then S-f
+    mantissa = sep.join(cells[next((i for i, d in enumerate(want) if d), len(want) - 1):])
+    assert to_string(PlaceValue(scaled, -frac_len), style) == (f"{mantissa} S-{f}" if f else text)
+
+
+def test_paper_text_refuses_a_negative():
+    for args in ((-1, 0), (5, -1)):
+        with pytest.raises(ValueError):
+            paper_text(*args)
 
 
 @given(sexagesimals, sexagesimals)

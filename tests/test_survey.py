@@ -228,6 +228,13 @@ def test_enumerate_rejects_bad_input():
             entry(range(0, 3))
 
 
+@pytest.mark.parametrize("qs", [[2.0, 7], {7, 2.0}, [7.0], [3, 4.0], [5, Fraction(6)]])
+def test_a_q_that_is_no_int_is_refused_whatever_holds_it(qs):
+    for entry in (q_set, enumerate_solutions, count_stats):
+        with pytest.raises(TypeError, match="Q must be an int"):
+            entry(qs)
+
+
 def test_q_set_keeps_a_step_one_range():
     qs = range(3, 100001)
     assert q_set(qs) is qs
