@@ -131,7 +131,7 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], Iterator[lis
     cell = str if decimal else paper_text
     return header, (
         [cell(c) for c in (x, y, b, a, d, a * a)] + [_qtable_fourth(solution(q, x, y, a, b, d, m, r), decimal)]
-        for q, x, y, a, b, d in survey._sides(qs, m)
+        for _, x, y, a, b, d in survey._sides(qs, m)
     )
 
 

@@ -485,6 +485,7 @@ def test_usage_errors():
     ["pi", "--digits", "9"],
     # generate streams its rows into --out: every check comes before the file opens
     ["generate", "--Q", "0", "--out", "t.tsv"],
+    ["generate", "--Q", "5", "--M", "0", "--format", "tsv", "--out", "t.tsv"],
     ["generate", "--bounded", "2", "--Xmin", "3", "--Xmax", "1", "--out", "t.tsv"],
     ["generate", "--bounded", "3", "--M", "0", "--out", "t.tsv"],
 ])
