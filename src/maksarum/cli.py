@@ -14,7 +14,7 @@ import gc
 import os
 import re
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -57,6 +57,27 @@ def _output(path: str | None):
     else:
         with open(path, "w", encoding="utf-8") as fp:
             yield fp
+
+
+@contextmanager
+def _outputs(*paths: str | None):
+    """_output of each path that is not None, and None for each that is, all opened
+    before the caller writes; if one cannot be opened, the files opened before it that
+    did not exist are removed again."""
+    with ExitStack() as stack:
+        fps, created = [], []
+        for path in paths:
+            new = path not in (None, "-") and not os.path.exists(path)
+            try:
+                fps.append(stack.enter_context(_output(path)) if path else None)
+            except OSError:
+                stack.close()
+                for made in created:
+                    os.remove(made)
+                raise
+            if new:
+                created.append(path)
+        yield fps
 
 
 def _decimal(text: str, what: str = "integer") -> int:
@@ -208,11 +229,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if not (args.out or args.histogram_out):
         return 0
     width = args.bin_width if args.histogram_out else None
-    with _output(args.out) if args.out else nullcontext() as fp:
-        hist = survey.export(qs, args.m, args.band, fp, width)
-    if hist is not None:  # after the CSV is closed: stdout gets the CSV first
-        with _output(args.histogram_out) as fp:
-            hist.write_csv(fp)
+    with _outputs(args.out, args.histogram_out) as (out, hist_out):
+        hist = survey.export(qs, args.m, args.band, out, width)
+        if hist is not None:  # after the whole CSV: stdout gets the CSV first
+            hist.write_csv(hist_out)
     return 0
 
 

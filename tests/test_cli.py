@@ -503,6 +503,27 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
         assert err == "maksarum: --digits K must be in 1..8, got 9\n"
 
 
+@pytest.mark.parametrize("out, hist", [("F", "missing/h.csv"), ("missing/F", "h.csv")])
+def test_survey_opens_both_outputs_before_the_walk(tmp_path, monkeypatch, capsys, out, hist):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the divisors")
+
+    monkeypatch.setattr(survey, "divisors_from_factors", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(["survey", "--Q-range", "1:3", "--out", out, "--histogram-out", hist]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("maksarum: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []  # F, once created, is removed again
+
+
+def test_survey_names_a_wrong_right_angle(tmp_path, monkeypatch, capsys, a_non_divisor):
+    monkeypatch.chdir(tmp_path)
+    assert main(["survey", "--Q", "5", "--out", "F"]) == 2
+    _, err = capsys.readouterr()
+    assert err == "maksarum: not a right triangle: 121^2 + 60^2 != 135^2\n"
+
+
 @pytest.mark.parametrize("argv", [["generate", "--Q", "5"], ["reconstruct", "--format", "tsv"]])
 def test_unwritable_out_is_one_line_exit_1(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1  # a directory

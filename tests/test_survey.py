@@ -512,6 +512,46 @@ def test_export_matches_the_records_on_a_benchmark_window():
     _check_export(range(5, 1505), 12, BAND_FULL, 1.0)
 
 
+def test_export_with_neither_output_walks_no_divisor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the divisors")
+
+    monkeypatch.setattr(survey, "divisors_from_factors", refuse)
+    assert export(range(1, 41), 12, BAND_FULL, None, None) is None
+
+
+def test_both_walks_check_each_right_angle(a_non_divisor):
+    # Q = 5: b = 60, and u = 7 gives (121, 60, 135)
+    wrong = r"not a right triangle: 121\^2 \+ 60\^2 != 135\^2"
+    with pytest.raises(ValueError, match=wrong):
+        list(_sides([5], 12))
+    with pytest.raises(ValueError, match=wrong):
+        export([5], 12, BAND_FULL, io.StringIO(), None)
+    with pytest.raises(ValueError, match=wrong):
+        export([5], 12, BAND_FULL, None, 1.0)
+
+
+class _Writes:
+    """A text sink that keeps each write apart."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+
+
+def test_export_writes_blocks_of_at_most_4096_rows():
+    q = 12252240  # 9,355 rows from one Q
+    sink, want = _Writes(), io.StringIO()
+    export([q], 12, BAND_FULL, sink, None)
+    write_records_csv(enumerate_solutions([q]), want)
+    assert "".join(sink.calls) == want.getvalue()
+    assert want.getvalue().count("\n") == 9356
+    assert max(text.count("\n") for text in sink.calls) == 4096
+    assert len(sink.calls) == 4  # the header and three blocks
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_export_with_no_solutions(m):
     buf = io.StringIO()
