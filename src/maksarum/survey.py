@@ -408,8 +408,8 @@ def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIO) -> Non
                  f"{p.a},{p.b},{p.d},{degrees(atan2(t.a, t.b)):.12f}\n")
 
 
-# rows per fp.write in export: one write per Q held about 105 MiB more at
-# Q = 200560490130 (246,037 rows of 138 bytes), where a block's rows and text take 1.3 MB
+# rows per fp.write in export: with one write per Q, survey --Q 200560490130 --out
+# (246,037 rows of 138 bytes) peaked at 145 MiB against 31 MiB; a block takes 1.3 MB
 _BLOCK = 4096
 
 
@@ -420,10 +420,9 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
     that builds no solution.  It walks the divisors as _sides does, with the same
     window, parity rule and right-angle check.  Each Q's rows come from two templates
     built once for that Q, one for each form of the fourth column, and are written in
-    blocks of at most _BLOCK rows.  With r
-    the part of b = m*Q prime to 60, the primitive leg pb = b/gcd(a, b) is regular
-    iff r divides a, and the fourth column of a regular pb comes from the bounded
-    cache of factor.reciprocal_square."""
+    blocks of at most _BLOCK rows.  With r the part of b = m*Q prime to 60, the
+    primitive leg pb = b/gcd(a, b) is regular iff r divides a, and the fourth column
+    of a regular pb comes from the bounded cache of factor.reciprocal_square."""
     qs = q_set(q_values, m)
     keep = None if band == BAND_FULL else _band_test(band)
     if fp is None and bin_width_deg is None:

@@ -505,10 +505,7 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
 
 @pytest.mark.parametrize("out, hist", [("F", "missing/h.csv"), ("missing/F", "h.csv")])
 def test_survey_opens_both_outputs_before_the_walk(tmp_path, monkeypatch, capsys, out, hist):
-    def refuse(*args, **kwargs):
-        raise AssertionError("walked the divisors")
-
-    monkeypatch.setattr(survey, "divisors_from_factors", refuse)
+    _refuse(monkeypatch, "divisors_from_factors")
     monkeypatch.chdir(tmp_path)
     assert main(["survey", "--Q-range", "1:3", "--out", out, "--histogram-out", hist]) == 1
     stdout, err = capsys.readouterr()

@@ -513,10 +513,7 @@ def test_export_matches_the_records_on_a_benchmark_window():
 
 
 def test_export_with_neither_output_walks_no_divisor(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("walked the divisors")
-
-    monkeypatch.setattr(survey, "divisors_from_factors", refuse)
+    _refuse(monkeypatch, "divisors_from_factors")
     assert export(range(1, 41), 12, BAND_FULL, None, None) is None
 
 
