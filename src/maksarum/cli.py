@@ -13,6 +13,7 @@ import argparse
 import gc
 import os
 import re
+import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
@@ -20,8 +21,8 @@ from math import gcd
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import circle, partitions, survey, tablet
-from .factor import fourth_column, prime_to_60, solution
-from .sexagesimal import IrregularError, paper_text, parse as parse_number, regular_power, to_string
+from .factor import fourth_column, prime_to_60, reciprocal_square
+from .sexagesimal import paper_text, parse as parse_number, regular_power, to_string
 
 # cli is the program's entry module: what is loaded by now lives until exit.  Frozen
 # objects move to the permanent generation, so neither a gen-2 collection during a long
@@ -50,26 +51,21 @@ def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIO) ->
 
 
 @contextmanager
-def _output(path: str | None):
-    """The file at path, or stdout for None and "-"; a file is closed on exit."""
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fp:
-            yield fp
-
-
-@contextmanager
 def _outputs(*paths: str | None):
-    """_output of each path that is not None, and None for each that is, all opened
-    before the caller writes; if one cannot be opened, the files opened before it that
-    did not exist are removed again."""
+    """One stream per path, all opened before the caller writes: None for None, stdout
+    for "-", and the file at any other path, "" included.  Each file is opened without
+    emptying it; if one cannot be opened, the files this call created are removed and
+    the others keep their bytes.  Only then are the regular files emptied: /dev/null
+    and pipes cannot be truncated."""
     with ExitStack() as stack:
         fps, created = [], []
         for path in paths:
-            new = path not in (None, "-") and not os.path.exists(path)
+            if path is None or path == "-":
+                fps.append(None if path is None else sys.stdout)
+                continue
+            new = not os.path.exists(path)
             try:
-                fps.append(stack.enter_context(_output(path)) if path else None)
+                fps.append(stack.enter_context(open(path, "a", encoding="utf-8")))
             except OSError:
                 stack.close()
                 for made in created:
@@ -77,6 +73,9 @@ def _outputs(*paths: str | None):
                 raise
             if new:
                 created.append(path)
+        for fp in fps:
+            if fp not in (None, sys.stdout) and stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
+                fp.truncate(0)
         yield fps
 
 
@@ -101,7 +100,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         raise ValueError("--show-errors applies only to --format table")
     reports = tablet.reconstruct_all()
     rows = tablet.corrected_table()
-    with _output(args.out) as fp:
+    with _outputs(args.out) as (fp,):
         if args.format in ("csv", "tsv"):
             header = "index fourth_coefficient fourth_shift a b d Q error_kind raw_a raw_d".split()
             _emit(header, (
@@ -130,30 +129,33 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 # --- generate ---------------------------------------------------------------
 
-def _qtable_fourth(sol, decimal: bool) -> str:
-    if not decimal:
-        # minimal-shift form, e.g. 59~00~15 S-3
-        if sol.fourth is None:
-            return ""
-        return f"{paper_text(sol.fourth.coefficient)} S-{sol.fourth.shift}"
-    # decimal tables carry the squared-mantissa convention: shift 2m with b | 60**m
-    try:
-        m = regular_power(sol.triple.b)
-    except IrregularError:
-        return "" if sol.fourth is None else str(sol.fourth)
-    atil = sol.triple.a * 60**m // sol.triple.b
-    return f"{atil * atil}S-{2 * m}"
-
-
 def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], Iterator[list[str]]]:
-    header = ["x", "y", "b", "a", "d", "a2", "fourth"]
+    """Q's integer table.  Each fourth cell comes from (a, b, r) as in survey.export: blank
+    when r, the part of b = m*Q prime to 60, does not divide a, else (a/g)**2 * mult at the
+    shift of reciprocal_square(b/g); with a regular b, decimal cells are (a*60**p/b)**2 S-2p."""
     qs = survey.q_set([q], m)  # checks M and Q now
-    r = prime_to_60(m * q)
+    b = m * q
+    r = prime_to_60(b)
     cell = str if decimal else paper_text
-    return header, (
-        [cell(c) for c in (x, y, b, a, d, a * a)] + [_qtable_fourth(solution(q, x, y, a, b, d, m, r), decimal)]
-        for _, x, y, a, b, d in survey._sides(qs, m)
-    )
+    squared = decimal and r == 1
+    if squared:  # b | 60**p
+        p = regular_power(b)
+        scale, tail = 60**p // b, f"S-{2 * p}"
+    sep = "" if decimal else " "
+
+    def rows() -> Iterator[list[str]]:
+        for _, x, y, a, _, d in survey._sides(qs, m):
+            if a % r:
+                fourth = ""
+            elif squared:
+                fourth = f"{(a * scale) ** 2}{tail}"
+            else:
+                g = gcd(a, b)
+                shift, mult = reciprocal_square(b // g)
+                fourth = f"{cell((a // g) ** 2 * mult)}{sep}S-{shift}"
+            yield [cell(c) for c in (x, y, b, a, d, a * a)] + [fourth]
+
+    return ["x", "y", "b", "a", "d", "a2", "fourth"], rows()
 
 
 def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], Iterator[list[str]]]:
@@ -185,7 +187,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             hi = parse_number(args.xmax).value if args.xmax is not None else Fraction(args.m)
             x_range = (lo, hi)
         header, rows = _bounded_rows(args.bounded, args.m, x_range, args.decimal)
-    with _output(args.out) as fp:
+    with _outputs(args.out) as (fp,):
         _emit(header, rows, args.format, fp)
     return 0
 
@@ -209,28 +211,30 @@ def _quotient(num: int, den: int, digits: int) -> str:
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
-    # reject ignored options and a bad width before any work or output
-    if not (args.report or args.out or args.histogram_out):
+    # reject ignored options and a bad width before any work or output; "" is a path
+    exporting = args.out is not None or args.histogram_out is not None
+    if not (args.report or exporting):
         raise ValueError("survey needs --report, --out or --histogram-out")
-    if args.band != survey.BAND_FULL and not (args.out or args.histogram_out):
+    if args.band != survey.BAND_FULL and not exporting:
         raise ValueError("--band applies only to --out and --histogram-out")
-    files = [os.path.realpath(path) for path in (args.out, args.histogram_out) if path and path != "-"]
+    files = [os.path.realpath(path) for path in (args.out, args.histogram_out) if path not in (None, "-")]
     if len(files) == 2 and files[0] == files[1]:
         raise ValueError(f"--out {args.out} and --histogram-out {args.histogram_out} are one file")
-    survey.bin_count(args.bin_width)
+    if args.bin_width is not None and args.histogram_out is None:
+        raise ValueError("--bin-width applies only to --histogram-out")
+    width = 1.0 if args.bin_width is None else args.bin_width
+    survey.bin_count(width)
     qs = survey.q_set(_parse_q_selector(args), m=args.m)
-    if args.report:
-        s = survey.count_stats(qs, m=args.m)
-        print(f"{s.total} {s.pi6_pi4} {s.p322} / {s.distinct_total} {s.distinct_pi6_pi4} {s.distinct_p322}")
-        print(f"ratio pi6_pi4: {s.pi6_pi4}/{s.total} = {_quotient(s.pi6_pi4, s.total, 7)}")
-        print(f"ratio p322:    {s.p322}/{s.total} = {_quotient(s.p322, s.total, 7)}")
-        print(f"distinct pi6_pi4: {s.distinct_pi6_pi4}/{s.distinct_total} = {_quotient(s.distinct_pi6_pi4, s.distinct_total, 5)}")
-        print(f"distinct p322:    {s.distinct_p322}/{s.distinct_total} = {_quotient(s.distinct_p322, s.distinct_total, 5)}")
-    if not (args.out or args.histogram_out):
-        return 0
-    width = args.bin_width if args.histogram_out else None
-    with _outputs(args.out, args.histogram_out) as (out, hist_out):
-        hist = survey.export(qs, args.m, args.band, out, width)
+    with _outputs(args.out, args.histogram_out) as (out, hist_out):  # before the report too
+        if args.report:
+            s = survey.count_stats(qs, m=args.m)
+            print(f"{s.total} {s.pi6_pi4} {s.p322} / {s.distinct_total} {s.distinct_pi6_pi4} {s.distinct_p322}")
+            print(f"ratio pi6_pi4: {s.pi6_pi4}/{s.total} = {_quotient(s.pi6_pi4, s.total, 7)}")
+            print(f"ratio p322:    {s.p322}/{s.total} = {_quotient(s.p322, s.total, 7)}")
+            print(f"distinct pi6_pi4: {s.distinct_pi6_pi4}/{s.distinct_total} = {_quotient(s.distinct_pi6_pi4, s.distinct_total, 5)}")
+            print(f"distinct p322:    {s.distinct_p322}/{s.distinct_total} = {_quotient(s.distinct_p322, s.distinct_total, 5)}")
+        # None, with no walk, for neither file
+        hist = survey.export(qs, args.m, args.band, out, None if hist_out is None else width)
         if hist is not None:  # after the whole CSV: stdout gets the CSV first
             hist.write_csv(hist_out)
     return 0
@@ -248,22 +252,15 @@ def cmd_partitions(args: argparse.Namespace) -> int:
         header = ["n", "nbar"] if args.standard else ["X", "Y"]
         # n * nbar = 60, so (n * M/12) * (nbar * M/5) = M**2
         u, v = Fraction(m, 12), Fraction(m, 5)
-        rows = []
-        for pair in partitions.standard_table():
-            if args.standard:
-                rows.append([to_string(pair.n), to_string(pair.nbar)])
-            else:
-                scaled = partitions.scale_to_partition(pair, u, v, m)
-                rows.append([to_string(scaled.x), to_string(scaled.y)])
+        pairs = partitions.standard_table()
+        if args.scaled:
+            pairs = [partitions.scale_to_partition(pair, u, v, m) for pair in pairs]
+        rows = [[to_string(pair[0]), to_string(pair[1])] for pair in pairs]  # (n, nbar) or (X, Y)
     else:
         header = ["place", "X", "Y", "A", "D"]
-        rows = []
-        for place, pair, a_side, d_side in partitions.partition_table(m):
-            rows.append(
-                [str(place) if place is not None else "none"]
-                + [to_string(v) for v in (pair.x, pair.y, a_side, d_side)]
-            )
-    with _output(args.out) as fp:
+        rows = [["none" if place is None else str(place)] + [to_string(c) for c in (pair.x, pair.y, a, d)]
+                for place, pair, a, d in partitions.partition_table(m)]
+    with _outputs(args.out) as (fp,):
         _emit(header, rows, args.format, fp)
     return 0
 
@@ -319,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="verify the fifteen tablet rows")
     p.add_argument("--show-errors", action="store_true", help="include the scribe-error models")
     p.add_argument("--format", choices=["table", "csv", "tsv"], default="table")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("generate", help="emit integer Q-tables or bounded generator tables")
@@ -332,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Xmax", dest="xmax", default=None, help="upper bound on X (sexagesimal text)")
     p.add_argument("--decimal", action="store_true", help="decimal columns instead of sexagesimal")
     p.add_argument("--format", choices=["table", "csv", "tsv"], default="table")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("survey", help="statistics over scale-generator ranges")
@@ -347,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true", help="print the count and ratio lines")
     p.add_argument("--out", default=None, help="write the record CSV here")
     p.add_argument("--histogram-out", default=None, help="write an angle histogram CSV here")
-    p.add_argument("--bin-width", type=float, default=1.0, help="histogram bin width in degrees")
+    p.add_argument("--bin-width", type=float, default=None,
+                   help="histogram bin width in degrees (default 1)")
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("partitions", help="reciprocal table and partition tables")
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--scaled", action="store_true", help="the pairs rescaled to product M^2")
     p.add_argument("--M", dest="m", action=_Decimal, default=None, help="bundling factor (default 12)")
     p.add_argument("--format", choices=["table", "csv", "tsv"], default="table")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("pi", help="base-60 truncations of pi")

@@ -1,12 +1,14 @@
 import io
+import os
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
 
-from maksarum import cli, partitions, survey
+from maksarum import cli, partitions, survey, tablet
 from maksarum.cli import main
 from maksarum.partitions import pair_solution
 from maksarum.sexagesimal import parse
@@ -469,6 +471,8 @@ def test_usage_errors():
     ["survey", "--Q", "5", "--out", "F", "--histogram-out", "F"],
     ["survey", "--Q", "5", "--out", "F", "--histogram-out", "./F"],
     # options the command would ignore
+    ["survey", "--Q", "10", "--report", "--bin-width", "7"],
+    ["survey", "--Q", "10", "--out", "o.csv", "--bin-width", "7"],
     ["reconstruct", "--format", "csv", "--show-errors"],
     ["reconstruct", "--format", "tsv", "--show-errors", "--out", "t.tsv"],
     ["partitions", "--standard", "--M", "5"],
@@ -512,6 +516,67 @@ def test_survey_opens_both_outputs_before_the_walk(tmp_path, monkeypatch, capsys
     assert stdout == ""
     assert err.startswith("maksarum: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []  # F, once created, is removed again
+
+
+def test_survey_keeps_an_existing_out_when_the_histogram_cannot_open(tmp_path, monkeypatch, capsys):
+    _refuse(monkeypatch, "divisors_from_factors")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "G").write_text("old contents\n")
+    assert main(["survey", "--Q", "10", "--out", "G", "--histogram-out", "missing/h.csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "maksarum: [Errno 2] No such file or directory: 'missing/h.csv'\n"
+    assert (tmp_path / "G").read_text() == "old contents\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--format", "csv"],
+    ["generate", "--Q", "10", "--format", "tsv"],
+    ["partitions", "--scaled"],
+    ["survey", "--Q", "10"],
+])
+def test_out_replaces_a_longer_file(tmp_path, capsys, argv):
+    path = tmp_path / "F"
+    path.write_text("x" * 100_000)
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main([*argv, "--out", "-"]) == 0
+    assert path.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["reconstruct"], ["generate", "--Q", "10"], ["partitions"], ["survey", "--Q", "10"]])
+def test_out_to_dev_null(capsys, argv):
+    assert main([*argv, "--out", os.devnull]) == 0  # a file that cannot be truncated
+    assert capsys.readouterr() == ("", "")
+
+
+def test_survey_empty_out_is_a_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["survey", "--Q", "10", "--report", "--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # opened before the report
+    assert err == "maksarum: [Errno 2] No such file or directory: ''\n"
+
+
+def test_reconstruct_prints_a_failed_check(monkeypatch, capsys):
+    first, *rest = tablet._TABLE
+    monkeypatch.setattr(tablet, "_TABLE", [first._replace(raw_a="02~00"), *rest])  # 02~00 is not 119
+    code, out = run(capsys, "reconstruct")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "row  1 FAIL  a=119 b=120 d=169 Q=10 fourth=212415S-3"
+    assert lines[1] == "        raw_matches: expected True, got False"
+    assert len(lines) == 16 and all(" PASS " in line for line in lines[2:])
+
+
+def test_broken_pipe_exits_0_quietly(monkeypatch, capsys):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["generate", "--Q", "10", "--format", "tsv"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_survey_names_a_wrong_right_angle(tmp_path, monkeypatch, capsys, a_non_divisor):
