@@ -13,7 +13,6 @@ import argparse
 import gc
 import os
 import re
-import stat
 import sys
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
@@ -71,10 +70,10 @@ def _outputs(*paths: str | None):
                 for made in created:
                     os.remove(made)
                 raise
-            if new:
-                created.append(path)
+            if new:  # the file a dangling symlink points to, not the link
+                created.append(os.path.realpath(path))
         for fp in fps:
-            if fp not in (None, sys.stdout) and stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
+            if fp not in (None, sys.stdout) and os.path.isfile(fp.name):
                 fp.truncate(0)
         yield fps
 
@@ -225,7 +224,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
     width = 1.0 if args.bin_width is None else args.bin_width
     survey.bin_count(width)
     qs = survey.q_set(_parse_q_selector(args), m=args.m)
-    with _outputs(args.out, args.histogram_out) as (out, hist_out):  # before the report too
+    with _outputs(args.out, args.histogram_out) as (out, hist_out):  # a bad path prints no report
         if args.report:
             s = survey.count_stats(qs, m=args.m)
             print(f"{s.total} {s.pi6_pi4} {s.p322} / {s.distinct_total} {s.distinct_pi6_pi4} {s.distinct_p322}")
@@ -233,7 +232,6 @@ def cmd_survey(args: argparse.Namespace) -> int:
             print(f"ratio p322:    {s.p322}/{s.total} = {_quotient(s.p322, s.total, 7)}")
             print(f"distinct pi6_pi4: {s.distinct_pi6_pi4}/{s.distinct_total} = {_quotient(s.distinct_pi6_pi4, s.distinct_total, 5)}")
             print(f"distinct p322:    {s.distinct_p322}/{s.distinct_total} = {_quotient(s.distinct_p322, s.distinct_total, 5)}")
-        # None, with no walk, for neither file
         hist = survey.export(qs, args.m, args.band, out, None if hist_out is None else width)
         if hist is not None:  # after the whole CSV: stdout gets the CSV first
             hist.write_csv(hist_out)

@@ -529,6 +529,15 @@ def test_survey_keeps_an_existing_out_when_the_histogram_cannot_open(tmp_path, m
     assert (tmp_path / "G").read_text() == "old contents\n"
 
 
+def test_survey_removes_the_file_it_created_not_a_link_to_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "L").symlink_to("target")  # dangling: --out L creates target
+    assert main(["survey", "--Q", "10", "--out", "L", "--histogram-out", "missing/h.csv"]) == 1
+    capsys.readouterr()
+    assert os.readlink("L") == "target"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["L"]
+
+
 @pytest.mark.parametrize("argv", [
     ["reconstruct", "--format", "csv"],
     ["generate", "--Q", "10", "--format", "tsv"],
