@@ -8,9 +8,9 @@ sqrt(pi/3).  Decimal results carry 30 significant digits.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import NamedTuple
 
 from .sexagesimal import Sexagesimal
 
@@ -26,10 +26,14 @@ def pi_decimal() -> Decimal:
         return +Decimal(_PI_50)
 
 
-class PiApproximation(NamedTuple):
-    digits: Sexagesimal  # 3 followed by k fractional sexagesits, truncated
-    k: int
-    error: Decimal  # pi minus the truncation, always in [0, 60**-k)
+class PiApproximation(namedtuple("PiApproximation", "digits k error")):
+    """pi truncated to k: int fractional sexagesits.
+
+    digits: Sexagesimal is 3 followed by those k sexagesits; error: Decimal is
+    pi minus the truncation, always in [0, 60**-k).
+    """
+
+    __slots__ = ()
 
     @property
     def value(self) -> Fraction:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import gc
 import os
-import re
 import sys
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
@@ -80,7 +79,8 @@ def _outputs(*paths: str | None):
 
 def _decimal(text: str, what: str = "integer") -> int:
     """int(text) for an optional sign and the ASCII digits only; int() also reads "1_0" and "١٢"."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad {what} {text!r}; expected decimal digits 0-9")
     return int(text)
 

@@ -9,10 +9,10 @@ as an integer coefficient times a power of 60.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 from .sexagesimal import BASE, regular_power
 
@@ -33,8 +33,8 @@ class DegenerateError(GeneratorError):
     """x >= M*Q: zero or mirrored short side."""
 
 
-class Triple(NamedTuple("Triple", [("a", int), ("b", int), ("d", int)])):
-    """Integer right-triangle sides with a**2 + b**2 == d**2."""
+class Triple(namedtuple("Triple", "a b d")):
+    """Integer right-triangle sides (a: int, b: int, d: int) with a**2 + b**2 == d**2."""
 
     __slots__ = ()
 
@@ -54,14 +54,14 @@ class Triple(NamedTuple("Triple", [("a", int), ("b", int), ("d", int)])):
         return Triple(self.a * k, self.b * k, self.d * k)
 
 
-class FourthColumn(NamedTuple):
+class FourthColumn(namedtuple("FourthColumn", "coefficient shift")):
     """Exact ratio column value a**2/b**2 = coefficient * 60**-shift, shift minimal.
 
-    The diagonal reading d**2/b**2 is this plus 1, at the same shift.
+    Fields coefficient: int, shift: int.  The diagonal reading d**2/b**2 is
+    this plus 1, at the same shift.
     """
 
-    coefficient: int
-    shift: int
+    __slots__ = ()
 
     @property
     def value(self) -> Fraction:
@@ -99,15 +99,11 @@ def prime_to_60(b: int) -> int:
     return b
 
 
-class GeneratorSolution(NamedTuple):
-    """One integer solution: generator pair (x, y), scale Q, bundling factor M."""
+class GeneratorSolution(namedtuple("GeneratorSolution", "x y q m triple fourth")):
+    """One integer solution: generator pair (x: int, y: int), scale q: int, bundling factor
+    m: int, its triple: Triple and its fourth: FourthColumn | None (blank for irregular legs)."""
 
-    x: int
-    y: int
-    q: int
-    m: int
-    triple: Triple
-    fourth: FourthColumn | None
+    __slots__ = ()
 
 
 def solution(q: int, x: int, y: int, a: int, b: int, d: int, m: int, r: int) -> GeneratorSolution:

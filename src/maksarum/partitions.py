@@ -7,9 +7,10 @@ of all pairs representable within a fractional-digit budget.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, floor, isqrt
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from . import survey
 from .factor import Triple, derive_q, normalized_sides
@@ -19,9 +20,10 @@ from .sexagesimal import IrregularError, Sexagesimal, parse, regular_power
 from .tablet import corrected_table
 
 
-class ReciprocalPair(NamedTuple):
-    n: Sexagesimal
-    nbar: Sexagesimal
+class ReciprocalPair(namedtuple("ReciprocalPair", "n nbar")):
+    """A standard-table entry n: Sexagesimal with its reciprocal nbar: Sexagesimal."""
+
+    __slots__ = ()
 
 
 # The thirty standard pairs, column-major in the usual tabular arrangement.
@@ -42,8 +44,9 @@ def standard_table() -> list[ReciprocalPair]:
     return [ReciprocalPair(parse(n), parse(nbar)) for n, nbar in _STANDARD]
 
 
-class GeneratorPair(NamedTuple("GeneratorPair", [("x", Fraction), ("y", Fraction), ("m", int)])):
-    """A partition X * Y = M**2 with both parts finite base-60 fractions."""
+class GeneratorPair(namedtuple("GeneratorPair", "x y m")):
+    """A partition X * Y = M**2 (x: Fraction, y: Fraction, m: int) with both parts finite
+    base-60 fractions."""
 
     __slots__ = ()
 

@@ -283,8 +283,9 @@ def place_value_equal(a: "Sexagesimal | int | Fraction", b: "Sexagesimal | int |
 
 # --- parsing ----------------------------------------------------------------
 
-_SUFFIX_RE = re.compile(r"^(?P<body>.*\S)\s+S-(?P<shift>[0-9]+)$")
-_DECIMAL_RE = re.compile(r"^[0-9]{3,}$")
+# a pattern string, not a compiled pattern: re compiles and caches it on the first parse,
+# so importing the module compiles nothing
+_SUFFIX = r"^(?P<body>.*\S)\s+S-(?P<shift>[0-9]+)$"
 
 
 def parse(text: str) -> Sexagesimal:
@@ -292,14 +293,14 @@ def parse(text: str) -> Sexagesimal:
     s = text.strip()
     if not s:
         raise ParseError("empty input")
-    m = _SUFFIX_RE.match(s)
+    m = re.match(_SUFFIX, s)
     if m:
         return PlaceValue(_parse_body(m.group("body")), -int(m.group("shift")))
     return _parse_body(s)
 
 
 def _parse_body(body: str) -> Sexagesimal:
-    if _DECIMAL_RE.match(body):
+    if len(body) > 2 and body.isascii() and body.isdigit():  # three or more digits 0-9
         return Sexagesimal(int(body))
     if ";" in body or ":" in body:
         return _parse_groups(body, radix=";", sep=":")

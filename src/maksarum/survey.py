@@ -10,9 +10,10 @@ enters only in histogram binning and display columns.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import product
 from math import atan2, degrees, gcd, isqrt, prod
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, prime_to_60, reciprocal_square, solution
 # not called here; kept importable because perfbench/child.py wraps it by name
@@ -28,13 +29,13 @@ _P322_LOW = (28, 45)
 _P322_HIGH = (119, 120)
 
 
-class SurveyStats(NamedTuple):
-    total: int
-    pi6_pi4: int
-    p322: int
-    distinct_total: int
-    distinct_pi6_pi4: int
-    distinct_p322: int
+class SurveyStats(namedtuple(
+    "SurveyStats", "total pi6_pi4 p322 distinct_total distinct_pi6_pi4 distinct_p322"
+)):
+    """Solution counts, all int: in total, in the pi/6..pi/4 band and in the tablet's
+    band, then the same three counts of distinct reduced angles."""
+
+    __slots__ = ()
 
 
 def primitive_reduce(t: Triple) -> Triple:
@@ -354,9 +355,11 @@ def rejected_p322_classes(solutions: Iterable[GeneratorSolution]) -> list[Triple
 _MAX_BINS = 10**6
 
 
-class Histogram(NamedTuple):
-    bin_width: float
-    bins: tuple[tuple[float, float, int], ...]  # (low, high, count), [low, high)
+class Histogram(namedtuple("Histogram", "bin_width bins")):
+    """Angle counts: bin_width: float in degrees, and bins: tuple[tuple[float, float, int], ...]
+    of (low, high, count), each bin [low, high)."""
+
+    __slots__ = ()
 
     @property
     def total(self) -> int:

@@ -8,8 +8,8 @@ recompute everything from generators and check the stored data exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .factor import FourthColumn, Triple, fourth_column, solve_integer
 from .ntheory import is_prime
@@ -25,15 +25,14 @@ ERROR_SCALE_ROW15 = "scale_row15"
 SET_C = frozenset({1, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 49, 53, 59})
 
 
-class TabletRow(NamedTuple):
-    index: int
-    q: int
-    triple: Triple
-    error_kind: str
-    raw_a: str
-    raw_d: str
-    damaged_fourth_digits: int  # leading ratio-column digits restored from damage
-    damaged_label: bool
+class TabletRow(namedtuple(
+    "TabletRow", "index q triple error_kind raw_a raw_d damaged_fourth_digits damaged_label"
+)):
+    """One tablet row: index: int, scale q: int, corrected triple: Triple, error_kind: str,
+    the as-carved raw_a: str and raw_d: str, damaged_fourth_digits: int (leading ratio-column
+    digits restored from damage) and damaged_label: bool."""
+
+    __slots__ = ()
 
     @property
     def x(self) -> int:
@@ -85,19 +84,21 @@ def p322_q_set() -> list[int]:
     return sorted({row.q for row in _TABLE})
 
 
-class FieldCheck(NamedTuple):
-    field: str
-    expected: object
-    got: object
+class FieldCheck(namedtuple("FieldCheck", "field expected got")):
+    """One recomputed field: its name field: str, the stored expected: object and the
+    recomputed got: object."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.expected == self.got
 
 
-class RowReport(NamedTuple):
-    index: int
-    checks: tuple[FieldCheck, ...]
+class RowReport(namedtuple("RowReport", "index checks")):
+    """The checks: tuple[FieldCheck, ...] of the row numbered index: int."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -134,11 +135,11 @@ def reconstruct_all() -> list[RowReport]:
     return [reconstruct(row) for row in _TABLE]
 
 
-class ErrorModel(NamedTuple):
-    index: int
-    kind: str
-    description: str
-    reproduced: bool
+class ErrorModel(namedtuple("ErrorModel", "index kind description reproduced")):
+    """A carved error: row index: int, kind: str, description: str, and reproduced: bool,
+    true when the arithmetic reproduces what was carved."""
+
+    __slots__ = ()
 
 
 def explain_errors() -> list[ErrorModel]:
@@ -199,15 +200,17 @@ def row15_repairs() -> list[tuple[str, Triple]]:
     ]
 
 
-class CongruenceLine(NamedTuple):
-    index: int
-    residues: tuple[int, int, int]  # [a], [b], [d] mod 60
-    identity_holds: bool
-    in_set_c: int  # how many of [a], [d] lie in SET_C
+class CongruenceLine(namedtuple("CongruenceLine", "index residues identity_holds in_set_c")):
+    """Row index: int, its residues: tuple[int, int, int] ([a], [b], [d] mod 60), whether
+    identity_holds: bool mod 60, and in_set_c: int, how many of [a], [d] lie in SET_C."""
+
+    __slots__ = ()
 
 
-class CongruenceReport(NamedTuple):
-    lines: tuple[CongruenceLine, ...]
+class CongruenceReport(namedtuple("CongruenceReport", "lines")):
+    """The lines: tuple[CongruenceLine, ...] of every row."""
+
+    __slots__ = ()
 
     @property
     def set_c_count(self) -> int:
@@ -239,16 +242,17 @@ def congruence_report() -> CongruenceReport:
     return CongruenceReport(tuple(lines))
 
 
-class PrimeLine(NamedTuple):
-    index: int
-    a_prime: bool
-    d_prime: bool
+class PrimeLine(namedtuple("PrimeLine", "index a_prime d_prime")):
+    """Row index: int, with a_prime: bool and d_prime: bool, true when its a or d is prime."""
+
+    __slots__ = ()
 
 
-class PrimeReport(NamedTuple):
-    lines: tuple[PrimeLine, ...]
-    raw_row15_d: int
-    raw_row15_d_prime: bool
+class PrimeReport(namedtuple("PrimeReport", "lines raw_row15_d raw_row15_d_prime")):
+    """The lines: tuple[PrimeLine, ...] of every row, the carved final-row diagonal
+    raw_row15_d: int and whether it is prime, raw_row15_d_prime: bool."""
+
+    __slots__ = ()
 
     @property
     def diagonal_prime_count(self) -> int:

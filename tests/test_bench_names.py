@@ -6,7 +6,8 @@ perfbench/child.py's ``WRAPPED`` with a timing wrapper, looking the module up
 in ``sys.modules``.  So each such module must be loaded by that one import,
 and each name must exist in it: a name that a refactor deletes or moves, or a
 module that the CLI stops importing at start-up, would crash every traced
-run.  The same import must stay lean, since every CLI start pays it, and it
+run.  The same import must stay lean, since every CLI start pays it: it loads
+no dataclasses, builds no typing.ForwardRef and compiles no regex.  It also
 freezes the objects it made, so that no collection walks them again, the
 ones at exit included.  A plain ``import maksarum`` freezes nothing.
 """
@@ -23,10 +24,24 @@ import pytest
 ROOT = Path(__file__).parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 
+# Counts the work that the package's own modules do at import: the standard modules that the
+# CLI needs anyway are loaded first, so only the package's own calls are counted.
 PROBE = """
+import argparse, contextlib, decimal, fractions, gettext, re, typing
 import gc, json, sys
+calls = {"forward_refs": 0, "regex_compiles": 0}
+
+def counting(name, function):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+    return wrapper
+
+typing.ForwardRef.__init__ = counting("forward_refs", typing.ForwardRef.__init__)
+re._compile = counting("regex_compiles", re._compile)
 import maksarum.cli
 print(json.dumps({
+    **calls,
     "frozen": gc.get_freeze_count(),
     "modules": sorted(sys.modules),
     "unresolved": [
@@ -65,6 +80,13 @@ def test_traced_names_resolve(cli_import):
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
 def test_cli_import_leaves_out(cli_import, module):
     assert module not in cli_import["modules"]
+
+
+@pytest.mark.parametrize("work", ["forward_refs", "regex_compiles"])
+def test_cli_import_compiles_nothing(cli_import, work):
+    # a typing.NamedTuple class turns each string annotation into a ForwardRef, and a
+    # module-level re.compile builds a pattern that most commands never use
+    assert cli_import[work] == 0
 
 
 def test_cli_import_freezes_its_heap(cli_import):

@@ -507,6 +507,18 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
         assert err == "maksarum: --digits K must be in 1..8, got 9\n"
 
 
+@pytest.mark.parametrize("text", [
+    "0", "7", "+7", "-7", "007", "", "+", "-", "+-7", "--7", " 7", "7 ", "7\n", "1_0",
+    "\u0663", "\u00b2", "\uff17", "1e3", "0x10", "7.0",
+])
+def test_decimal_takes_an_optional_sign_and_ascii_digits(text):
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        assert cli._decimal(text) == int(text)
+    else:
+        with pytest.raises(ValueError, match="expected decimal digits 0-9"):
+            cli._decimal(text)
+
+
 @pytest.mark.parametrize("out, hist", [("F", "missing/h.csv"), ("missing/F", "h.csv")])
 def test_survey_opens_both_outputs_before_the_walk(tmp_path, monkeypatch, capsys, out, hist):
     _refuse(monkeypatch, "divisors_from_factors")

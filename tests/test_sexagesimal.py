@@ -77,6 +77,10 @@ def test_format_styles(value, paper, colon):
     assert to_string(value, "colon") == colon
 
 
+def test_str_is_the_paper_text():
+    assert str(Sexagesimal(72, 1)) == "01.~12"
+
+
 def test_format_place_value():
     assert to_string(PlaceValue(212415, -3)) == "59~00~15 S-3"
     assert to_string(PlaceValue(45, 1)) == "45~00"
