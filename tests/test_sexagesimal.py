@@ -75,10 +75,7 @@ def test_parse_error_names_position():
 def test_format_styles(value, paper, colon):
     assert to_string(value, "paper") == paper
     assert to_string(value, "colon") == colon
-
-
-def test_str_is_the_paper_text():
-    assert str(Sexagesimal(72, 1)) == "01.~12"
+    assert str(value) == paper
 
 
 def test_format_place_value():
