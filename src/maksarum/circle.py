@@ -3,13 +3,14 @@
 pi comes from a built-in 50-digit decimal constant; the content here is the
 exact base-60 truncation arithmetic, the from-above area rule B = c**2/12,
 its exact correction factor 3/pi, and the concentric-circle diameter ratio
-sqrt(pi/3).  Decimal results carry 30 significant digits.
+sqrt(pi/3).  Decimal results carry 30 significant digits, each computed in a copy
+of one fixed context, so the caller's decimal context never changes them.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, DivisionByZero, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 
 from .sexagesimal import Sexagesimal
@@ -18,11 +19,12 @@ _PI_50 = "3.1415926535897932384626433832795028841971693993751"
 PI_FRACTION = Fraction(Decimal(_PI_50))
 
 PRECISION = 30  # significant decimal digits, well inside the 50-digit literal
+# rounding and traps named too: a field left out is copied from decimal.DefaultContext
+_CONTEXT = Context(prec=PRECISION, rounding=ROUND_HALF_EVEN, traps=[DivisionByZero, InvalidOperation, Overflow])
 
 
 def pi_decimal() -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
+    with localcontext(_CONTEXT):
         return +Decimal(_PI_50)
 
 
@@ -48,11 +50,11 @@ def pi_digits(k: int) -> PiApproximation:
     """Truncation of pi to k fractional sexagesits, 1 <= k <= 8."""
     if not 1 <= k <= 8:
         raise ValueError(f"k must be in 1..8, got {k}")
-    value = Fraction(int(PI_FRACTION * 60**k), 60**k)
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
-        err = +(Decimal(_PI_50) - Decimal(value.numerator) / Decimal(value.denominator))
-    return PiApproximation(Sexagesimal.truncate(value, k), k, err)
+    digits = Sexagesimal.truncate(PI_FRACTION, k)
+    value = digits.value
+    with localcontext(_CONTEXT):
+        err = Decimal(_PI_50) - Decimal(value.numerator) / Decimal(value.denominator)
+    return PiApproximation(digits, k, err)
 
 
 def area_upper(c: Fraction) -> Fraction:
@@ -68,16 +70,14 @@ def true_area(c: Fraction) -> Decimal:
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"circumference must be positive, got {c}")
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
-        return +(Decimal(c.numerator) ** 2 / (Decimal(c.denominator) ** 2 * 4 * pi_decimal()))
+    with localcontext(_CONTEXT):
+        return Decimal(c.numerator) ** 2 / (Decimal(c.denominator) ** 2 * 4 * pi_decimal())
 
 
 def area_correction_factor() -> Decimal:
     """3/pi: multiplying B by it recovers the true area exactly."""
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
-        return +(3 / pi_decimal())
+    with localcontext(_CONTEXT):
+        return 3 / pi_decimal()
 
 
 def area_correction_sexagesimal(k: int = 5) -> Sexagesimal:
@@ -91,8 +91,6 @@ def outer_ring_ratio() -> tuple[Decimal, Sexagesimal]:
     Returns the decimal value to 30 significant digits and its five-sexagesit
     truncation 01.~01~23~58~34~08.
     """
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
+    with localcontext(_CONTEXT):
         ratio = (Decimal(_PI_50) / 3).sqrt()
-        trunc = Sexagesimal.truncate(Fraction(ratio), 5)
-    return ratio, trunc
+    return ratio, Sexagesimal.truncate(Fraction(ratio), 5)

@@ -242,7 +242,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 def cmd_partitions(args: argparse.Namespace) -> int:
     m = 12 if args.m is None else args.m
-    if m < 1:
+    if m < 1:  # not GeneratorPair's check again: a bad M is named before the --standard refusal
         raise ValueError(f"M must be >= 1, got {m}")
     if args.standard and args.m is not None:  # the thirty reciprocal pairs read no M
         raise ValueError("--M applies only to plain partitions and --scaled")

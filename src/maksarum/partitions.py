@@ -16,7 +16,7 @@ from . import survey
 from .factor import Triple, derive_q, normalized_sides
 # not called here; kept importable because perfbench/child.py wraps them by name
 from .ntheory import divisors_from_factors, factorize  # noqa: F401
-from .sexagesimal import IrregularError, Sexagesimal, parse, regular_power
+from .sexagesimal import IrregularError, parse, regular_power
 from .tablet import corrected_table
 
 

@@ -94,24 +94,28 @@ def q_set(q_values: Iterable[int], m: int = 12) -> Sequence[int]:
     return qs
 
 
+def _window(b: int, lo: int = 2, hi: int | None = None) -> tuple[int, int, list[int]]:
+    """(k, c*c, us) for b = m*Q, c = b/k: the x in lo <= x < hi (hi None: b) with y = b**2/x
+    of x's parity are k*u for the divisors u of c**2 in us.  For odd b (k = 1) every y is
+    odd; for even b (k = 2) the even product x*y forces both x and y even."""
+    k = 2 - (b & 1)
+    c = b // k
+    return k, c * c, divisors_from_factors({p: 2 * e for p, e in factorize(c).items()},
+                                           -(-lo // k), c if hi is None else -(-hi // k))
+
+
 def _sides(
     qs: Iterable[int], m: int, lo: int = 2, hi: int | None = None
 ) -> Iterator[tuple[int, int, int, int, int, int]]:
     """(q, x, y, a, b, d) for every solution over the checked scale generators, in
-    (Q, x) order: b = m*Q, the divisors lo <= x < hi of b**2 (hi None: b) with
-    y = b**2/x of x's parity, a = (y - x)/2 and d = (y + x)/2, each checked to be
-    a right triangle.  Only those divisors are built: for odd b every one has
-    odd y, and for even b = 2c the even product x*y forces both even, so x = 2u
-    for the divisors u of c**2 with lo <= 2u < hi.  export walks the same divisors in
-    a loop of its own, which spares it a generator resume per row."""
+    (Q, x) order: b = m*Q, x from _window(b, lo, hi), y = b**2/x, a = (y - x)/2 and
+    d = (y + x)/2, each checked to be a right triangle.  export walks the same window
+    in a loop of its own, which spares it a generator resume per row."""
     for q in qs:
         b = m * q
         bsq = b * b
-        k = 2 - (b & 1)  # x and y are multiples of k
-        c = b // k
-        csq = c * c
-        for u in divisors_from_factors({p: 2 * e for p, e in factorize(c).items()},
-                                       -(-lo // k), c if hi is None else -(-hi // k)):
+        k, csq, us = _window(b, lo, hi)
+        for u in us:
             x, y = k * u, k * (csq // u)
             a, d = (y - x) // 2, (y + x) // 2
             if a * a + bsq != d * d:
@@ -420,10 +424,10 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
            bin_width_deg: float | None) -> Histogram | None:
     """write_records_csv to fp (unless None) and return the histogram (unless the width
     is None) of band_filter(enumerate_solutions(q_values, m), band), in one loop per Q
-    that builds no solution.  It walks the divisors as _sides does, with the same
-    window, parity rule and right-angle check.  Each Q's rows come from two templates
-    built once for that Q, one for each form of the fourth column, and are written in
-    blocks of at most _BLOCK rows.  With r the part of b = m*Q prime to 60, the
+    that builds no solution.  It walks the same _window as _sides, with the same
+    right-angle check.  Each Q's rows come from two templates built once for that Q,
+    one for each form of the fourth column, and are written in blocks of at most
+    _BLOCK rows.  With r the part of b = m*Q prime to 60, the
     primitive leg pb = b/gcd(a, b) is regular iff r divides a, and the fourth column
     of a regular pb comes from the bounded cache of factor.reciprocal_square."""
     qs = q_set(q_values, m)
@@ -440,10 +444,7 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
     for q in qs:
         b = m * q
         bsq = b * b
-        k = 2 - (b & 1)  # as in _sides: x = k*u for the divisors u of c**2, c = b/k
-        c = b // k
-        csq = c * c
-        divisors = divisors_from_factors({p: 2 * e for p, e in factorize(c).items()}, -(-2 // k), c)
+        k, csq, divisors = _window(b)
         if fp is not None:
             r = prime_to_60(b)
             head = "%d,%%d,%%d,%%d,%d,%%d," % (q, b)

@@ -13,7 +13,7 @@ from math import gcd
 
 from .factor import FourthColumn, Triple, fourth_column, solve_integer
 from .ntheory import is_prime
-from .sexagesimal import Sexagesimal, parse, place_value_equal, to_string
+from .sexagesimal import Sexagesimal, paper_text, parse, place_value_equal, to_string
 
 ERROR_NONE = "none"
 ERROR_WRONG_D_ROW2 = "wrong_d_row2"
@@ -46,7 +46,7 @@ class TabletRow(namedtuple(
     def raw_fourth(self) -> str:
         """Restored ratio column as carved: the diagonal reading d**2/b**2 = a**2/b**2 + 1."""
         f = self.fourth
-        return to_string(Sexagesimal(f.coefficient + 60**f.shift))
+        return paper_text(f.coefficient + 60**f.shift)
 
 
 # index, Q, (a, b, d), error kind, raw a, raw d, damaged ratio digits, damaged label
@@ -152,8 +152,8 @@ def explain_errors() -> list[ErrorModel]:
         ErrorModel(
             2,
             ERROR_WRONG_D_ROW2,
-            f"(02~41)^2 - (02~00)^2 = {to_string(Sexagesimal(wrong))} "
-            f"(the diagonal carved in place of {to_string(Sexagesimal(row2.triple.d))})",
+            f"(02~41)^2 - (02~00)^2 = {paper_text(wrong)} "
+            f"(the diagonal carved in place of {paper_text(row2.triple.d)})",
             parse(row2.raw_d) == wrong,
         )
     )
@@ -165,7 +165,7 @@ def explain_errors() -> list[ErrorModel]:
         ErrorModel(
             9,
             ERROR_TYPO_A_ROW9,
-            f"leading digit 8~9 swap: {to_string(Sexagesimal(row9.triple.a))} carved as "
+            f"leading digit 8~9 swap: {paper_text(row9.triple.a)} carved as "
             f"{to_string(swapped)}",
             parse(row9.raw_a) == swapped,
         )
@@ -177,7 +177,7 @@ def explain_errors() -> list[ErrorModel]:
         ErrorModel(
             13,
             ERROR_SQUARED_A_ROW13,
-            f"{to_string(Sexagesimal(squared))} = (02~41)^2: the short side carved squared",
+            f"{paper_text(squared)} = (02~41)^2: the short side carved squared",
             parse(row13.raw_a) == squared,
         )
     )

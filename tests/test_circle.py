@@ -1,5 +1,9 @@
-from decimal import Decimal
+import os
+import subprocess
+import sys
+from decimal import ROUND_DOWN, Decimal, Inexact, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -9,11 +13,13 @@ from maksarum.circle import (
     area_correction_sexagesimal,
     area_upper,
     outer_ring_ratio,
+    pi_decimal,
     pi_digits,
     true_area,
 )
 from maksarum.sexagesimal import to_string
 
+SRC = Path(__file__).parent.parent / "src"
 EXPECTED_DIGITS = [8, 29, 44, 0, 47, 25, 53, 7]
 
 
@@ -114,3 +120,42 @@ def test_constants_match_mpmath_to_30_digits():
         oracle = [Decimal(mpmath.nstr(v, 30)) for v in (3 / mpmath.pi, mpmath.sqrt(mpmath.pi / 3))]
     ours = [area_correction_factor(), outer_ring_ratio()[0]]
     assert [d.as_tuple() for d in ours] == [d.as_tuple() for d in oracle]
+
+
+def _decimal_results():
+    return [
+        pi_decimal(),
+        *(pi_digits(k).error for k in range(1, 9)),
+        true_area(Fraction(7)),
+        area_correction_factor(),
+        outer_ring_ratio()[0],
+    ]
+
+
+def test_results_ignore_the_callers_decimal_context():
+    expected = _decimal_results()
+    assert str(expected[0]) == "3.14159265358979323846264338328"  # the 30th digit rounds up to 8
+    with localcontext() as ctx:
+        ctx.prec = 5
+        ctx.rounding = ROUND_DOWN
+        ctx.traps[Inexact] = True
+        got = _decimal_results()
+    assert [d.as_tuple() for d in got] == [d.as_tuple() for d in expected]
+
+
+def test_results_ignore_the_default_context_at_import():
+    # circle's own context is built at import, so the change to DefaultContext comes first
+    code = """
+import decimal
+from fractions import Fraction
+decimal.DefaultContext.prec = 5
+decimal.DefaultContext.rounding = decimal.ROUND_DOWN
+decimal.DefaultContext.traps[decimal.Inexact] = True
+from maksarum.circle import *
+print(repr([pi_decimal(), *(pi_digits(k).error for k in range(1, 9)), true_area(Fraction(7)),
+            area_correction_factor(), outer_ring_ratio()[0]]))
+"""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout == repr(_decimal_results()) + "\n"
