@@ -18,7 +18,8 @@ CHILD = ROOT / "perfbench" / "child.py"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
-def _wrapped():
+@pytest.fixture(scope="module")
+def wrapped():
     spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
@@ -39,9 +40,8 @@ def _unused_imports(tree):
 
 
 @pytest.mark.parametrize("module", MODULES)
-def test_every_import_is_used(module):
+def test_every_import_is_used(module, wrapped):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    wrapped = _wrapped()
     unused = {name: line for name, line in _unused_imports(tree).items()
               if (module, name) not in wrapped}
     assert unused == {}
