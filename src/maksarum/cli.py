@@ -159,7 +159,7 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], Iterator[lis
 
 def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], Iterator[list[str]]]:
     # each pair is (x, y) / 60**k for an integer solution (x, y, a, b, d) at Q = 60**k
-    sides = enumerate(partitions._bounded_sides(m, k, x_range), 1)  # checks M, K and the range now
+    sides = enumerate(survey._bounded_sides(m, k, x_range), 1)  # checks M, K and the range now
     if not decimal:
         return ["place", "X", "Y", "A", "D"], (
             [str(place), paper_text(x, k), paper_text(y, k), paper_text(a, k), paper_text(d, k)]

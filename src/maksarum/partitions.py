@@ -9,15 +9,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import ceil, floor, isqrt
-from typing import Iterator
 
 from . import survey
 from .factor import Triple, derive_q, normalized_sides
 # not called here; kept importable because perfbench/child.py wraps them by name
 from .ntheory import divisors_from_factors, factorize  # noqa: F401
 from .sexagesimal import IrregularError, parse, regular_power
-from .tablet import corrected_table
 
 
 class ReciprocalPair(namedtuple("ReciprocalPair", "n nbar")):
@@ -105,28 +102,6 @@ def step_by_s(g: GeneratorPair, s: Fraction) -> GeneratorPair:
     return step(g, s * g.x / k)
 
 
-def _bounded_sides(
-    m: int, max_frac_digits: int, x_range: tuple[Fraction, Fraction] | None
-) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """survey._sides at Q = 60**max_frac_digits over the window of the pairs within
-    the digit budget; each pair is (x, y) / 60**max_frac_digits.  M, the budget and
-    the X range are checked when this is called, before any pair is made."""
-    if m < 1:
-        raise ValueError(f"M must be >= 1, got {m}")
-    if max_frac_digits < 0:
-        raise ValueError(f"max_frac_digits must be >= 0, got {max_frac_digits}")
-    scale = 60**max_frac_digits
-    b = m * scale
-    # theta < pi/4 (A < m) is y - x < 2b, i.e. x > b*(sqrt(2) - 1); 2b**2 is no square
-    lo, hi = isqrt(2 * b * b) - b + 1, b
-    if x_range is not None:
-        xmin, xmax = Fraction(x_range[0]), Fraction(x_range[1])
-        if xmin > xmax:
-            raise ValueError(f"empty X range: Xmin {xmin} is above Xmax {xmax}")
-        lo, hi = max(lo, ceil(xmin * scale)), min(hi, floor(xmax * scale) + 1)
-    return survey._sides([scale], m, lo, hi)
-
-
 def enumerate_bounded(
     m: int,
     max_frac_digits: int,
@@ -143,7 +118,7 @@ def enumerate_bounded(
     gives 59 pairs, of which the historical 51-row table omits eight (see
     tests/test_acceptance.py::test_c04b_bounded_table_row_count_as_stated).
     """
-    sides = _bounded_sides(m, max_frac_digits, x_range)
+    sides = survey._bounded_sides(m, max_frac_digits, x_range)
     scale = 60**max_frac_digits
     return [GeneratorPair(Fraction(x, scale), Fraction(y, scale), m) for _, x, y, *_ in sides]
 
@@ -156,6 +131,8 @@ def partition_table(m: int = 12) -> list[tuple[int | None, GeneratorPair, Fracti
     generators scale by m/12 (the factor-3 table uses X/4, the factor-60
     table 5X), keeping X * Y = m**2.
     """
+    from .tablet import corrected_table  # here, so that giza loads no tablet
+
     f = Fraction(m, 12)
     rows = []
     for row in corrected_table():

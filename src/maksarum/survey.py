@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 from itertools import product
-from math import atan2, degrees, gcd, isqrt, prod
+from math import atan2, ceil, degrees, floor, gcd, isqrt, prod
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, prime_to_60, reciprocal_square, solution
@@ -121,6 +122,28 @@ def _sides(
             if a * a + bsq != d * d:
                 raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
             yield q, x, y, a, b, d
+
+
+def _bounded_sides(
+    m: int, max_frac_digits: int, x_range: tuple[Fraction, Fraction] | None
+) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """_sides at Q = 60**max_frac_digits over the window of the pairs within the digit
+    budget; each pair is (x, y) / 60**max_frac_digits.  M, the budget and the X range
+    are checked when this is called, before any pair is made."""
+    if m < 1:
+        raise ValueError(f"M must be >= 1, got {m}")
+    if max_frac_digits < 0:
+        raise ValueError(f"max_frac_digits must be >= 0, got {max_frac_digits}")
+    scale = 60**max_frac_digits
+    b = m * scale
+    # theta < pi/4 (A < m) is y - x < 2b, i.e. x > b*(sqrt(2) - 1); 2b**2 is no square
+    lo, hi = isqrt(2 * b * b) - b + 1, b
+    if x_range is not None:
+        xmin, xmax = Fraction(x_range[0]), Fraction(x_range[1])
+        if xmin > xmax:
+            raise ValueError(f"empty X range: Xmin {xmin} is above Xmax {xmax}")
+        lo, hi = max(lo, ceil(xmin * scale)), min(hi, floor(xmax * scale) + 1)
+    return _sides([scale], m, lo, hi)
 
 
 def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[GeneratorSolution]:

@@ -3,13 +3,15 @@
 A traced benchmark run (``perfbench/run.py --trace 1``) imports
 ``maksarum.cli`` and then replaces each ``(module, attribute)`` in
 perfbench/child.py's ``WRAPPED`` with a timing wrapper, looking the module up
-in ``sys.modules``.  So each such module must be loaded by that one import,
-and each name must exist in it: a name that a refactor deletes or moves, or a
-module that the CLI stops importing at start-up, would crash every traced
-run.  The same import must stay lean, since every CLI start pays it: it loads
-no dataclasses, builds no typing.ForwardRef and compiles no regex.  It also
-freezes the objects it made, so that no collection walks them again, the
-ones at exit included.  A plain ``import maksarum`` freezes nothing.
+in ``sys.modules``.  So each such module must be in ``sys.modules`` after that
+one import, possibly not yet loaded, and each name must resolve through
+``getattr``: a name that a refactor deletes or moves, or a module that the CLI
+stops importing at start-up, would crash every traced run.  The same import
+must stay lean, since every CLI start pays it: it loads no dataclasses, builds
+no typing.ForwardRef and compiles no regex.  It also freezes the objects it
+made, so that no collection walks them again, the ones at exit included.  A
+plain ``import maksarum`` freezes nothing.  ``tablet``, ``partitions`` and
+``circle`` load on first use, so a command loads only the ones it runs.
 """
 
 import importlib.util
@@ -96,3 +98,54 @@ def test_cli_import_freezes_its_heap(cli_import):
 
 def test_library_import_keeps_its_gc():
     assert _fresh("import gc, maksarum; print(gc.get_freeze_count())") == "0\n"
+
+
+# a lazily loaded module is a types.ModuleType subclass until its first attribute read
+LOADED = """
+import contextlib, io, json, sys, types
+import maksarum.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = maksarum.cli.main(sys.argv[1:])
+print(json.dumps([code] + [name for name in ("tablet", "partitions", "circle")
+                           if type(sys.modules["maksarum." + name]) is types.ModuleType]))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["survey", "--Q-range", "1:50", "--report"], []),
+    (["survey", "--Q-range", "1:50", "--out", "F", "--histogram-out", "H"], []),
+    (["generate", "--Q", "10"], []),
+    (["generate", "--bounded", "3"], []),
+    (["reconstruct"], ["tablet"]),
+    (["pi"], ["circle"]),
+    (["giza"], ["partitions"]),
+], ids=["survey_report", "survey_export", "generate_q", "generate_bounded", "reconstruct", "pi", "giza"])
+def test_commands_load_only_what_they_run(tmp_path, monkeypatch, argv, loaded):
+    monkeypatch.chdir(tmp_path)
+    assert json.loads(_fresh(LOADED, *argv)) == [0] + loaded
+
+
+LIBRARY = """
+import json, types
+import maksarum
+from maksarum import corrected_table
+try:
+    maksarum.no_such_name
+except AttributeError as e:
+    missing = str(e)
+print(json.dumps({
+    "resolved": [callable(getattr(maksarum, name))
+                 for name in ("enumerate_bounded", "corrected_table", "p322_q_set", "reconstruct_all")],
+    "same": [maksarum.enumerate_bounded is maksarum.partitions.enumerate_bounded,
+             corrected_table is maksarum.tablet.corrected_table],
+    "missing": missing,
+}))
+"""
+
+
+def test_library_names_resolve_on_first_use():
+    assert json.loads(_fresh(LIBRARY)) == {
+        "resolved": [True] * 4,
+        "same": [True, True],
+        "missing": "module 'maksarum' has no attribute 'no_such_name'",
+    }
