@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 
 def _lazy(name: str):
-    """Submodule name of this package, registered in sys.modules and loaded when first read."""
+    """The submodule `name`, registered in sys.modules and loaded when an attribute is first read."""
     spec = find_spec(f"{__name__}.{name}")
     spec.loader = LazyLoader(spec.loader)
     module = module_from_spec(spec)

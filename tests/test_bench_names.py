@@ -119,21 +119,29 @@ print(json.dumps([code] + [name for name in ("tablet", "partitions", "circle")
     (["reconstruct"], ["tablet"]),
     (["pi"], ["circle"]),
     (["giza"], ["partitions"]),
-], ids=["survey_report", "survey_export", "generate_q", "generate_bounded", "reconstruct", "pi", "giza"])
+    (["survey", "--Q-set", "p322", "--report"], ["tablet"]),
+    (["partitions", "--standard"], ["partitions"]),
+    (["partitions", "--scaled"], ["partitions"]),
+    (["partitions"], ["tablet", "partitions"]),
+], ids=["survey_report", "survey_export", "generate_q", "generate_bounded", "reconstruct", "pi", "giza",
+        "survey_p322", "partitions_standard", "partitions_scaled", "partitions"])
 def test_commands_load_only_what_they_run(tmp_path, monkeypatch, argv, loaded):
     monkeypatch.chdir(tmp_path)
     assert json.loads(_fresh(LOADED, *argv)) == [0] + loaded
 
 
 LIBRARY = """
-import json, types
+import json, sys, types
 import maksarum
+unloaded = [name for name in ("tablet", "partitions", "circle")
+            if type(sys.modules["maksarum." + name]) is not types.ModuleType]
 from maksarum import corrected_table
 try:
     maksarum.no_such_name
 except AttributeError as e:
     missing = str(e)
 print(json.dumps({
+    "unloaded": unloaded,
     "resolved": [callable(getattr(maksarum, name))
                  for name in ("enumerate_bounded", "corrected_table", "p322_q_set", "reconstruct_all")],
     "same": [maksarum.enumerate_bounded is maksarum.partitions.enumerate_bounded,
@@ -145,6 +153,7 @@ print(json.dumps({
 
 def test_library_names_resolve_on_first_use():
     assert json.loads(_fresh(LIBRARY)) == {
+        "unloaded": ["tablet", "partitions", "circle"],
         "resolved": [True] * 4,
         "same": [True, True],
         "missing": "module 'maksarum' has no attribute 'no_such_name'",
