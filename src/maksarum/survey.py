@@ -9,12 +9,17 @@ enters only in histogram binning and display columns.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import sys
 from collections import namedtuple
+from contextlib import ExitStack
 from fractions import Fraction
 from itertools import product
 from math import atan2, ceil, degrees, floor, gcd, isqrt, prod
-from typing import Iterable, Iterator, Sequence, TextIO
+from operator import add
+from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, prime_to_60, reciprocal_square, solution
 # not called here; kept importable because perfbench/child.py wraps it by name
@@ -441,34 +446,151 @@ def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIO) -> Non
 # rows per fp.write in export: with one write per Q, survey --Q 200560490130 --out
 # (246,037 rows of 138 bytes) peaked at 145 MiB against 31 MiB; a block takes 1.3 MB
 _BLOCK = 4096
+# export forks once for Qs with at least this many rows before the band filter.  On a 2-vCPU
+# guest the fork, the spill file and the copy cost about 3 ms: the fork lost at 3,300 rows and
+# won from 6,000 with the CSV, and from 10,000 with the histogram alone or a narrow band
+_FORK_MIN_ROWS = 10_000
+# the parent's share of the Qs, below half because it also copies the child's rows
+_HEAD_SHARE = 0.47
+# characters per fp.write when the child's rows are copied: chunks of 1 MiB raised the
+# benchmark window's peak RSS by 3.7 MiB, chunks of 64 KiB by less than 0.1 MiB
+_COPY = 1 << 16
 
 
 def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
            bin_width_deg: float | None) -> Histogram | None:
     """write_records_csv to fp (unless None) and return the histogram (unless the width
     is None) of band_filter(enumerate_solutions(q_values, m), band), in one loop per Q
-    that builds no solution.  It walks the same _window as _sides, with the same
-    right-angle check.  Each Q's rows come from two templates built once for that Q,
-    one for each form of the fourth column, and are written in blocks of at most
-    _BLOCK rows.  With r the part of b = m*Q prime to 60, the
-    primitive leg pb = b/gcd(a, b) is regular iff r divides a, and the fourth column
-    of a regular pb comes from the bounded cache of factor.reciprocal_square."""
+    that builds no solution (_rows).
+
+    Two or more Qs with at least _FORK_MIN_ROWS rows between them are split in two
+    when os.fork exists, this process runs no other thread and may use more than one
+    CPU: a forked child walks the last 53% of the Qs into an unlinked temporary file
+    while this process walks the first 47% into fp, then copies the child's rows after
+    its own in chunks of _COPY characters through fp.write.  So the rows keep their
+    order, any text sink works and memory stays flat.  Fewer rows, or one Q however
+    many rows it has, are walked by this process alone.  An exception of the child is
+    raised here with its class and text; the child is reaped before this returns or
+    raises, and killed first if this process fails."""
     qs = q_set(q_values, m)
     keep = None if band == BAND_FULL else _band_test(band)
     if fp is None and bin_width_deg is None:
         return None
-    binned = bin_width_deg is not None
-    if binned:
-        last = bin_count(bin_width_deg) - 1
-        counts = [0] * (last + 1)
+    counts = None if bin_width_deg is None else [0] * bin_count(bin_width_deg)
     if fp is not None:
-        write = fp.write
-        write(CSV_HEADER + "\n")
+        fp.write(CSV_HEADER + "\n")
+    if len(qs) > 1 and _forkable() and _has_rows(qs, m, _FORK_MIN_ROWS):
+        split = round(len(qs) * _HEAD_SHARE)
+        _two_processes(qs[:split], qs[split:], m, keep, fp, counts, bin_width_deg)
+    else:
+        _rows(qs, m, keep, None if fp is None else fp.write, counts, bin_width_deg)
+    return None if counts is None else _binned(counts, bin_width_deg)
+
+
+def _has_rows(qs: Iterable[int], m: int, rows: int) -> bool:
+    """Whether the Qs have at least this many rows before the band filter, counted up to
+    the first Q that reaches it.  With k and c as in _window, Q has a row for each divisor
+    u < c of c*c, (d(c*c) - 1)/2 of them, but u = 1 for odd b, which is x = 1."""
+    for q in qs:
+        b = m * q
+        k = 2 - (b & 1)
+        below = (prod(2 * e + 1 for e in factorize(b // k).values()) - 1) // 2
+        rows -= below - (k == 1 and below > 0)
+        if rows <= 0:
+            return True
+    return False
+
+
+def _forkable() -> bool:
+    """os.fork exists, no other thread runs (a forked child would hold no copy of it), and
+    this process may use a second CPU."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no CPU affinity on this platform
+        return (os.cpu_count() or 1) > 1
+
+
+def _two_processes(head: Sequence[int], tail: Sequence[int], m: int, keep, fp: TextIO | None,
+                   counts: list[int] | None, width: float | None) -> None:
+    """_rows over head here and over tail in a forked child; the child's rows are copied to
+    fp after head's, and its bin counts are added to counts."""
+    import tempfile  # only a long export needs it
+
+    with ExitStack() as stack:
+        spill = None if fp is None else stack.enter_context(
+            tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+        readable, writable = os.pipe()
+        reply = stack.enter_context(open(readable, "rb"))
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _child(tail, m, keep, spill, counts, width, writable)
+        finally:
+            os.close(writable)
+        try:
+            _rows(head, m, keep, None if fp is None else fp.write, counts, width)
+            answer = reply.read()
+        except BaseException:
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if answer[:1] == b"E":
+            import pickle
+            raise pickle.loads(answer[1:])
+        if answer[:1] != b"C":  # the child ended before it could answer
+            raise ChildProcessError(
+                f"export's second process ended with exit code {os.waitstatus_to_exitcode(status)}")
+        if counts is not None:
+            counts[:] = map(add, counts, marshal.loads(answer[1:]))
+        if spill is not None:
+            spill.seek(0)
+            while chunk := spill.read(_COPY):
+                fp.write(chunk)
+
+
+def _child(tail: Sequence[int], m: int, keep, spill: TextIO | None, counts: list[int] | None,
+           width: float | None, writable: int) -> NoReturn:
+    """The forked child: _rows over tail into spill, then b"C" and its bin counts, or b"E" and
+    its pickled exception, to the pipe.  It leaves by os._exit, which runs no cleanup of the
+    parent's and flushes none of its buffers, fp's and stdout's included."""
+    status = 1
+    try:
+        with open(writable, "wb") as reply:
+            try:
+                _rows(tail, m, keep, None if spill is None else spill.write, counts, width)
+                if spill is not None:
+                    spill.flush()
+                answer = b"C" + marshal.dumps(counts)
+            except BaseException as exc:
+                import pickle
+                answer = b"E" + pickle.dumps(exc)
+            reply.write(answer)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _rows(qs: Iterable[int], m: int, keep, write, counts: list[int] | None,
+          width: float | None) -> None:
+    """export's loop: each row of the Qs to write (unless None) and each angle into counts
+    (unless None).  It walks the same _window as _sides, with the same right-angle check.
+    Each Q's rows come from two templates built once for that Q, one for each form of the
+    fourth column, and are written in blocks of at most _BLOCK rows.  With r the part of
+    b = m*Q prime to 60, the primitive leg pb = b/gcd(a, b) is regular iff r divides a,
+    and the fourth column of a regular pb comes from the bounded cache of
+    factor.reciprocal_square."""
+    binned = counts is not None
+    last = len(counts) - 1 if binned else 0
     for q in qs:
         b = m * q
         bsq = b * b
         k, csq, divisors = _window(b)
-        if fp is not None:
+        if write is not None:
             r = prime_to_60(b)
             head = "%d,%%d,%%d,%%d,%d,%%d," % (q, b)
             irregular = head + ",,%d,%d,%d,%.12f\n"
@@ -484,9 +606,9 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
                     continue
                 theta = degrees(atan2(a, b))
                 if binned:
-                    i = int(theta // bin_width_deg)
+                    i = int(theta // width)
                     counts[i if i < last else last] += 1
-                if fp is None:
+                if write is None:
                     continue
                 g = gcd(a, b)  # divides d too
                 pa, pb = a // g, b // g
@@ -497,4 +619,3 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
                     rows.append(regular % (x, y, a, d, pa * pa * mult, shift, pa, pb, d // g, theta))
             if rows:
                 write("".join(rows))
-    return _binned(counts, bin_width_deg) if binned else None

@@ -1,6 +1,7 @@
 import io
 import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -605,6 +606,65 @@ def test_survey_names_a_wrong_right_angle(tmp_path, monkeypatch, capsys, a_non_d
     assert main(["survey", "--Q", "5", "--out", "F"]) == 2
     _, err = capsys.readouterr()
     assert err == "maksarum: not a right triangle: 121^2 + 60^2 != 135^2\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_disk_in_a_two_process_export_is_one_line_exit_1(capsys, forks):
+    assert main(["survey", "--Q-range", "1:1500", "--out", "/dev/full"]) == 1
+    assert capsys.readouterr() == ("", "maksarum: [Errno 28] No space left on device\n")
+    assert len(forks) == 1
+
+
+def test_a_report_starts_no_process(monkeypatch, capsys, forks):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert main(["survey", "--Q-range", "1:1500", "--report"]) == 0
+    assert survey.export(range(1, 1501), 12, survey.BAND_FULL, None, None) is None
+
+
+# cli.main in a fresh interpreter with a second CPU whatever the machine has; stderr gets
+# the number of forks and whether a child is left, running or unreaped
+FORKED = """
+import os, sys
+from maksarum.cli import main
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}
+code = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "a child left"
+except ChildProcessError:
+    left = "no child left"
+print(len(forks), "fork,", left, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _forked(*args, **kwargs):
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **kwargs)
+
+
+def test_a_reader_that_closes_early_ends_a_two_process_export_quietly():
+    proc = _forked("-c", FORKED, "survey", "--Q-range", "1:1500", "--out", "-",
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == (survey.CSV_HEADER + "\n").encode()
+    proc.stdout.close()
+    assert proc.communicate(timeout=60)[1] == b"1 fork, no child left\n"  # and no traceback
+    assert proc.returncode == 0
+
+
+def test_a_two_process_export_leaves_no_warning(tmp_path):
+    # -X dev -W error: an unclosed pipe or temporary file warns, and so does a fork with threads
+    # running (Python 3.12); a warning in a finalizer is printed, not raised, so read stderr
+    argv = ["survey", "--Q-range", "1:1500", "--out", "r.csv", "--histogram-out", "h.csv"]
+    proc = _forked("-X", "dev", "-W", "error", "-c", FORKED, *argv, cwd=tmp_path, stderr=subprocess.PIPE)
+    assert proc.communicate(timeout=60)[1] == b"1 fork, no child left\n"
+    assert proc.returncode == 0
+    assert (tmp_path / "r.csv").stat().st_size > 0 and (tmp_path / "h.csv").stat().st_size > 0
 
 
 @pytest.mark.parametrize("argv", [["generate", "--Q", "5"], ["reconstruct", "--format", "tsv"]])

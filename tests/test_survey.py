@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import tempfile
+import threading
 from fractions import Fraction
 from math import isqrt
 
@@ -7,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from maksarum import factor, survey
+from maksarum import factor, ntheory, survey
 from maksarum.factor import GeneratorError, Triple, solve_integer
 from maksarum.survey import (
     BAND_FULL,
@@ -555,3 +558,139 @@ def test_export_with_no_solutions(m):
     hist = export([1], m, BAND_FULL, buf, 1.0)
     assert buf.getvalue().splitlines() == [CSV_HEADER]
     assert len(hist.bins) == 90 and hist.total == 0
+
+
+# --- the export in two processes -------------------------------------------
+
+# the odd Q up to 599 with 60 and 420: 302 Qs and 10,406 rows at M = 77, b with repeated primes
+_M77_SET = sorted({*range(1, 600, 2), 60, 420})
+
+
+@pytest.mark.parametrize("qs, m, band", [
+    (range(5, 1505), 12, BAND_FULL),
+    (range(5, 1505), 12, BAND_P322),
+    (_M77_SET, 77, BAND_FULL),
+], ids=["benchmark_window", "benchmark_window_p322", "m77_set"])
+def test_two_process_export_matches_the_records(forks, qs, m, band):
+    _check_export(qs, m, band, 1.0)
+    assert len(forks) == 3  # the CSV with the histogram, each alone; with neither no walk
+
+
+def test_two_process_export_into_a_file(forks, monkeypatch, tmp_path):
+    path = tmp_path / "records.csv"
+    with open(path, "w", encoding="utf-8") as fp:  # the header waits in fp's buffer at the fork
+        hist = export(range(5, 1505), 12, BAND_FULL, fp, 1.0)
+    assert len(forks) == 1
+    monkeypatch.setattr(survey, "_forkable", lambda: False)
+    want = io.StringIO()
+    assert export(range(5, 1505), 12, BAND_FULL, want, 1.0) == hist
+    assert len(forks) == 1
+    assert path.read_text(encoding="utf-8") == want.getvalue()
+
+
+def test_the_export_forks_from_its_row_threshold(forks):
+    rows = hi = 0
+    while rows < survey._FORK_MIN_ROWS:
+        hi += 1
+        rows += sum(1 for _ in _sides([hi], 12))
+    _check_export(range(1, hi), 12, BAND_FULL, 1.0)  # one Q short of the threshold
+    assert forks == []
+    _check_export(range(1, hi + 1), 12, BAND_FULL, 1.0)
+    assert len(forks) == 3
+
+
+def test_one_q_is_one_process_however_many_rows(forks, monkeypatch):
+    monkeypatch.setattr(survey, "_FORK_MIN_ROWS", 1)
+    export([12252240], 12, BAND_FULL, io.StringIO(), 1.0)  # 9,355 rows
+    assert forks == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12, 77])
+@pytest.mark.parametrize("qs", [[1], [1, 2], range(1, 41), range(281, 301), [7, 225, 288, 1125]])
+def test_has_rows_counts_the_rows_before_the_band_filter(qs, m):
+    rows = sum(1 for _ in _sides(qs, m))
+    assert survey._has_rows(qs, m, rows)
+    assert not survey._has_rows(qs, m, rows + 1)
+
+
+def test_one_process_without_fork_a_second_cpu_or_a_quiet_process(forks, monkeypatch):
+    assert survey._forkable()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not survey._forkable()
+    with monkeypatch.context() as patch:  # no CPU affinity: the CPU count decides
+        patch.delattr(os, "sched_getaffinity", raising=False)
+        assert survey._forkable()
+        patch.setattr(os, "cpu_count", lambda: None)
+        assert not survey._forkable()
+    with monkeypatch.context() as patch:
+        patch.delattr(os, "fork")
+        assert not survey._forkable()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not survey._forkable()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _tail_only(monkeypatch, qs):
+    """Keep the a_non_divisor patch for the Qs of the child's slice of qs (at M = 12), drop
+    it for the rest, and return that slice's first Q."""
+    first = qs[round(len(qs) * survey._HEAD_SHARE)]
+    wrong = survey.divisors_from_factors
+
+    def in_the_tail(factors, lo=1, hi=None):
+        csq = math.prod(p**e for p, e in factors.items())  # c = 6*Q
+        return (wrong if csq >= (6 * first) ** 2 else ntheory.divisors_from_factors)(factors, lo, hi)
+
+    monkeypatch.setattr(survey, "divisors_from_factors", in_the_tail)
+    return first
+
+
+def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, a_non_divisor):
+    qs = range(5, 1505)
+    first = _tail_only(monkeypatch, qs)
+    with pytest.raises(ValueError) as one_q:
+        list(_sides([first], 12))
+    for fp, width in [(io.StringIO(), None), (None, 1.0)]:
+        with pytest.raises(ValueError) as raised:
+            export(qs, 12, BAND_FULL, fp, width)
+        assert type(raised.value) is ValueError and str(raised.value) == str(one_q.value)
+    assert len(forks) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_an_os_error_in_the_child_is_raised_here(forks, monkeypatch):
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: open("/dev/full", "w+"))
+    with pytest.raises(OSError) as raised:
+        export(range(5, 1505), 12, BAND_FULL, io.StringIO(), None)
+    assert type(raised.value) is OSError and str(raised.value) == "[Errno 28] No space left on device"
+    assert len(forks) == 1
+
+
+class _Interrupted:
+    """A text sink interrupted at its second write, the first after the CSV header."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        if self.calls > 1:
+            raise KeyboardInterrupt
+
+
+def test_the_child_is_killed_and_reaped_when_this_process_fails(forks):
+    with pytest.raises(KeyboardInterrupt):
+        export(range(5, 1505), 12, BAND_FULL, _Interrupted(), 1.0)
+    assert len(forks) == 1
+
+
+def test_a_child_that_ends_with_no_answer_is_an_error(forks, monkeypatch):
+    monkeypatch.setattr(survey, "_child", lambda *args: os._exit(3))
+    with pytest.raises(ChildProcessError, match="second process ended with exit code 3"):
+        export(range(5, 1505), 12, BAND_FULL, io.StringIO(), 1.0)
