@@ -446,10 +446,14 @@ def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIO) -> Non
 # rows per fp.write in export: with one write per Q, survey --Q 200560490130 --out
 # (246,037 rows of 138 bytes) peaked at 145 MiB against 31 MiB; a block takes 1.3 MB
 _BLOCK = 4096
-# export forks once for Qs with at least this many rows before the band filter.  On a 2-vCPU
-# guest the fork, the spill file and the copy cost about 3 ms: the fork lost at 3,300 rows and
-# won from 6,000 with the CSV, and from 10,000 with the histogram alone or a narrow band
-_FORK_MIN_ROWS = 10_000
+# export walks its first Qs in one process until they have given this many rows before the
+# band filter, and forks for the rest only if, at their rate, the rest holds _FORK_MIN_ROWS
+_PROBE_ROWS = 2000
+# on a 2-vCPU guest a fork, its spill file and the copy took about 3 ms.  With the histogram
+# alone or the p322 band (about 0.8 us a row at small Q) the fork lost at 10,000 rows and won
+# at 40,000; with the whole CSV (about 4 us a row) it won from 10,000.  Rows per Q grow with Q,
+# so the first Qs' rate puts 1..941, with 40,000 rows, at 20,000
+_FORK_MIN_ROWS = 20_000
 # the parent's share of the Qs, below half because it also copies the child's rows
 _HEAD_SHARE = 0.47
 # characters per fp.write when the child's rows are copied: chunks of 1 MiB raised the
@@ -463,42 +467,37 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
     is None) of band_filter(enumerate_solutions(q_values, m), band), in one loop per Q
     that builds no solution (_rows).
 
-    Two or more Qs with at least _FORK_MIN_ROWS rows between them are split in two
-    when os.fork exists, this process runs no other thread and may use more than one
-    CPU: a forked child walks the last 53% of the Qs into an unlinked temporary file
-    while this process walks the first 47% into fp, then copies the child's rows after
-    its own in chunks of _COPY characters through fp.write.  So the rows keep their
-    order, any text sink works and memory stays flat.  Fewer rows, or one Q however
-    many rows it has, are walked by this process alone.  An exception of the child is
-    raised here with its class and text; the child is reaped before this returns or
-    raises, and killed first if this process fails."""
+    The first Qs are walked by this process until they have given _PROBE_ROWS rows
+    before the band filter.  If the other Qs, at the same rows per Q, hold at least
+    _FORK_MIN_ROWS rows, os.fork exists, this process runs no other thread and may use
+    a second CPU, those Qs are split in two: a forked child walks the last 53% of them
+    into an unlinked temporary file while this process walks the first 47% into fp,
+    then copies the child's rows after its own in chunks of _COPY characters through
+    fp.write.  So the rows keep their order, any text sink works and memory stays
+    flat, and no Q is factorized twice.  A set with fewer rows, or one Q however many
+    rows it has, is walked by this process alone.  An exception of the child is raised
+    here with its class and text; the child is reaped before this returns or raises,
+    and killed first if this process fails."""
     qs = q_set(q_values, m)
     keep = None if band == BAND_FULL else _band_test(band)
     if fp is None and bin_width_deg is None:
         return None
     counts = None if bin_width_deg is None else [0] * bin_count(bin_width_deg)
+    write = None
     if fp is not None:
-        fp.write(CSV_HEADER + "\n")
-    if len(qs) > 1 and _forkable() and _has_rows(qs, m, _FORK_MIN_ROWS):
-        split = round(len(qs) * _HEAD_SHARE)
-        _two_processes(qs[:split], qs[split:], m, keep, fp, counts, bin_width_deg)
+        write = fp.write
+        write(CSV_HEADER + "\n")
+    done = rows = 0
+    while done < len(qs) and rows < _PROBE_ROWS:
+        rows += _rows(qs[done:done + 1], m, keep, write, counts, bin_width_deg)
+        done += 1
+    rest = qs[done:]
+    if len(rest) > 1 and rows * len(rest) >= _FORK_MIN_ROWS * done and _forkable():
+        split = round(len(rest) * _HEAD_SHARE)
+        _two_processes(rest[:split], rest[split:], m, keep, fp, counts, bin_width_deg)
     else:
-        _rows(qs, m, keep, None if fp is None else fp.write, counts, bin_width_deg)
+        _rows(rest, m, keep, write, counts, bin_width_deg)
     return None if counts is None else _binned(counts, bin_width_deg)
-
-
-def _has_rows(qs: Iterable[int], m: int, rows: int) -> bool:
-    """Whether the Qs have at least this many rows before the band filter, counted up to
-    the first Q that reaches it.  With k and c as in _window, Q has a row for each divisor
-    u < c of c*c, (d(c*c) - 1)/2 of them, but u = 1 for odd b, which is x = 1."""
-    for q in qs:
-        b = m * q
-        k = 2 - (b & 1)
-        below = (prod(2 * e + 1 for e in factorize(b // k).values()) - 1) // 2
-        rows -= below - (k == 1 and below > 0)
-        if rows <= 0:
-            return True
-    return False
 
 
 def _forkable() -> bool:
@@ -526,8 +525,8 @@ def _two_processes(head: Sequence[int], tail: Sequence[int], m: int, keep, fp: T
         reply = stack.enter_context(open(readable, "rb"))
         try:
             pid = os.fork()
-            if pid == 0:
-                _child(tail, m, keep, spill, counts, width, writable)
+            if pid == 0:  # the child counts its own bins, from zero
+                _child(tail, m, keep, spill, None if counts is None else [0] * len(counts), width, writable)
         finally:
             os.close(writable)
         try:
@@ -576,9 +575,9 @@ def _child(tail: Sequence[int], m: int, keep, spill: TextIO | None, counts: list
 
 
 def _rows(qs: Iterable[int], m: int, keep, write, counts: list[int] | None,
-          width: float | None) -> None:
+          width: float | None) -> int:
     """export's loop: each row of the Qs to write (unless None) and each angle into counts
-    (unless None).  It walks the same _window as _sides, with the same right-angle check.
+    (unless None); it returns the number of rows before the band filter.  It walks the same _window as _sides, with the same right-angle check.
     Each Q's rows come from two templates built once for that Q, one for each form of the
     fourth column, and are written in blocks of at most _BLOCK rows.  With r the part of
     b = m*Q prime to 60, the primitive leg pb = b/gcd(a, b) is regular iff r divides a,
@@ -586,10 +585,12 @@ def _rows(qs: Iterable[int], m: int, keep, write, counts: list[int] | None,
     factor.reciprocal_square."""
     binned = counts is not None
     last = len(counts) - 1 if binned else 0
+    walked = 0
     for q in qs:
         b = m * q
         bsq = b * b
         k, csq, divisors = _window(b)
+        walked += len(divisors)
         if write is not None:
             r = prime_to_60(b)
             head = "%d,%%d,%%d,%%d,%d,%%d," % (q, b)
@@ -619,3 +620,4 @@ def _rows(qs: Iterable[int], m: int, keep, write, counts: list[int] | None,
                     rows.append(regular % (x, y, a, d, pa * pa * mult, shift, pa, pb, d // g, theta))
             if rows:
                 write("".join(rows))
+    return walked

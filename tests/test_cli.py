@@ -609,10 +609,10 @@ def test_survey_names_a_wrong_right_angle(tmp_path, monkeypatch, capsys, a_non_d
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_a_full_disk_in_a_two_process_export_is_one_line_exit_1(capsys, forks):
+def test_a_full_disk_is_one_line_exit_1(capsys, forks):
     assert main(["survey", "--Q-range", "1:1500", "--out", "/dev/full"]) == 1
     assert capsys.readouterr() == ("", "maksarum: [Errno 28] No space left on device\n")
-    assert len(forks) == 1
+    assert forks == []  # the first Qs' rows fill the write buffer before export would fork
 
 
 def test_a_report_starts_no_process(monkeypatch, capsys, forks):
@@ -648,12 +648,16 @@ def _forked(*args, **kwargs):
     return subprocess.Popen([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
-def test_a_reader_that_closes_early_ends_a_two_process_export_quietly():
+# the reader closes after the header, before export forks, or after 1 MiB, past the first
+# Qs' 0.2 MB and so after the fork
+@pytest.mark.parametrize("more, forked", [(0, 0), (1 << 20, 1)])
+def test_a_reader_that_closes_early_ends_the_export_quietly(more, forked):
     proc = _forked("-c", FORKED, "survey", "--Q-range", "1:1500", "--out", "-",
                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline() == (survey.CSV_HEADER + "\n").encode()
+    assert len(proc.stdout.read(more)) == more
     proc.stdout.close()
-    assert proc.communicate(timeout=60)[1] == b"1 fork, no child left\n"  # and no traceback
+    assert proc.communicate(timeout=60)[1] == f"{forked} fork, no child left\n".encode()  # no traceback
     assert proc.returncode == 0
 
 

@@ -562,8 +562,8 @@ def test_export_with_no_solutions(m):
 
 # --- the export in two processes -------------------------------------------
 
-# the odd Q up to 599 with 60 and 420: 302 Qs and 10,406 rows at M = 77, b with repeated primes
-_M77_SET = sorted({*range(1, 600, 2), 60, 420})
+# the odd Q up to 1999 with 60 and 420: 1,002 Qs and 42,959 rows at M = 77, b with repeated primes
+_M77_SET = sorted({*range(1, 2000, 2), 60, 420})
 
 
 @pytest.mark.parametrize("qs, m, band", [
@@ -589,10 +589,14 @@ def test_two_process_export_into_a_file(forks, monkeypatch, tmp_path):
 
 
 def test_the_export_forks_from_its_row_threshold(forks):
-    rows = hi = 0
-    while rows < survey._FORK_MIN_ROWS:
+    # the first Qs give _PROBE_ROWS rows; the rest must hold _FORK_MIN_ROWS at their rate
+    rows = done = 0
+    while rows < survey._PROBE_ROWS:
+        done += 1
+        rows += sum(1 for _ in _sides([done], 12))
+    hi = done + 2
+    while rows * (hi - done) < survey._FORK_MIN_ROWS * done:
         hi += 1
-        rows += sum(1 for _ in _sides([hi], 12))
     _check_export(range(1, hi), 12, BAND_FULL, 1.0)  # one Q short of the threshold
     assert forks == []
     _check_export(range(1, hi + 1), 12, BAND_FULL, 1.0)
@@ -605,12 +609,12 @@ def test_one_q_is_one_process_however_many_rows(forks, monkeypatch):
     assert forks == []
 
 
+@pytest.mark.parametrize("band", [BAND_FULL, BAND_P322])
 @pytest.mark.parametrize("m", [1, 2, 3, 12, 77])
-@pytest.mark.parametrize("qs", [[1], [1, 2], range(1, 41), range(281, 301), [7, 225, 288, 1125]])
-def test_has_rows_counts_the_rows_before_the_band_filter(qs, m):
-    rows = sum(1 for _ in _sides(qs, m))
-    assert survey._has_rows(qs, m, rows)
-    assert not survey._has_rows(qs, m, rows + 1)
+@pytest.mark.parametrize("qs", [[1], [1, 2], range(1, 41), [7, 225, 288, 1125]])
+def test_the_row_loop_counts_the_rows_before_the_band_filter(qs, m, band):
+    keep = None if band == BAND_FULL else survey._BANDS[band]
+    assert survey._rows(qs, m, keep, None, [0] * 90, 1.0) == sum(1 for _ in _sides(qs, m))
 
 
 def test_one_process_without_fork_a_second_cpu_or_a_quiet_process(forks, monkeypatch):
@@ -637,25 +641,17 @@ def test_one_process_without_fork_a_second_cpu_or_a_quiet_process(forks, monkeyp
     assert not thread.is_alive()
 
 
-def _tail_only(monkeypatch, qs):
-    """Keep the a_non_divisor patch for the Qs of the child's slice of qs (at M = 12), drop
-    it for the rest, and return that slice's first Q."""
-    first = qs[round(len(qs) * survey._HEAD_SHARE)]
-    wrong = survey.divisors_from_factors
-
-    def in_the_tail(factors, lo=1, hi=None):
-        csq = math.prod(p**e for p, e in factors.items())  # c = 6*Q
-        return (wrong if csq >= (6 * first) ** 2 else ntheory.divisors_from_factors)(factors, lo, hi)
-
-    monkeypatch.setattr(survey, "divisors_from_factors", in_the_tail)
-    return first
-
-
 def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, a_non_divisor):
     qs = range(5, 1505)
-    first = _tail_only(monkeypatch, qs)
+    wrong = survey.divisors_from_factors  # a_non_divisor's
+
+    def at_the_last_q(factors, lo=1, hi=None):  # which the child walks; c = 6*Q
+        last = math.prod(p**e for p, e in factors.items()) == (6 * qs[-1]) ** 2
+        return (wrong if last else ntheory.divisors_from_factors)(factors, lo, hi)
+
+    monkeypatch.setattr(survey, "divisors_from_factors", at_the_last_q)
     with pytest.raises(ValueError) as one_q:
-        list(_sides([first], 12))
+        list(_sides([qs[-1]], 12))
     for fp, width in [(io.StringIO(), None), (None, 1.0)]:
         with pytest.raises(ValueError) as raised:
             export(qs, 12, BAND_FULL, fp, width)
@@ -672,21 +668,22 @@ def test_an_os_error_in_the_child_is_raised_here(forks, monkeypatch):
     assert len(forks) == 1
 
 
-class _Interrupted:
-    """A text sink interrupted at its second write, the first after the CSV header."""
+class _FailsAfterAFork:
+    """A text sink that raises error at its first write after a fork."""
 
-    def __init__(self):
-        self.calls = 0
+    def __init__(self, forks, error):
+        self.forks, self.error = forks, error
 
     def write(self, text):
-        self.calls += 1
-        if self.calls > 1:
-            raise KeyboardInterrupt
+        if self.forks:
+            raise self.error
 
 
-def test_the_child_is_killed_and_reaped_when_this_process_fails(forks):
-    with pytest.raises(KeyboardInterrupt):
-        export(range(5, 1505), 12, BAND_FULL, _Interrupted(), 1.0)
+@pytest.mark.parametrize("error", [KeyboardInterrupt(), OSError(28, "No space left on device")])
+def test_the_child_is_killed_and_reaped_when_this_process_fails(forks, error):
+    with pytest.raises(type(error)) as raised:
+        export(range(5, 1505), 12, BAND_FULL, _FailsAfterAFork(forks, error), 1.0)
+    assert raised.value is error
     assert len(forks) == 1
 
 
