@@ -452,7 +452,8 @@ _PROBE_ROWS = 2000
 # on a 2-vCPU guest a fork, its spill file and the copy took about 3 ms.  With the histogram
 # alone or the p322 band (about 0.8 us a row at small Q) the fork lost at 10,000 rows and won
 # at 40,000; with the whole CSV (about 4 us a row) it won from 10,000.  Rows per Q grow with Q,
-# so the first Qs' rate puts 1..941, with 40,000 rows, at 20,000
+# so the first Qs' rate is low for a range from 1: at M = 12 the least that forks is 1..941,
+# with 40,820 rows (BENCH_27.json)
 _FORK_MIN_ROWS = 20_000
 # the parent's share of the Qs, below half because it also copies the child's rows
 _HEAD_SHARE = 0.47
@@ -526,7 +527,8 @@ def _two_processes(head: Sequence[int], tail: Sequence[int], m: int, keep, fp: T
         try:
             pid = os.fork()
             if pid == 0:  # the child counts its own bins, from zero
-                _child(tail, m, keep, spill, None if counts is None else [0] * len(counts), width, writable)
+                zeros = None if counts is None else [0] * len(counts)
+                _child(tail, m, keep, spill, zeros, width, writable)
         finally:
             os.close(writable)
         try:
@@ -577,12 +579,12 @@ def _child(tail: Sequence[int], m: int, keep, spill: TextIO | None, counts: list
 def _rows(qs: Iterable[int], m: int, keep, write, counts: list[int] | None,
           width: float | None) -> int:
     """export's loop: each row of the Qs to write (unless None) and each angle into counts
-    (unless None); it returns the number of rows before the band filter.  It walks the same _window as _sides, with the same right-angle check.
-    Each Q's rows come from two templates built once for that Q, one for each form of the
-    fourth column, and are written in blocks of at most _BLOCK rows.  With r the part of
-    b = m*Q prime to 60, the primitive leg pb = b/gcd(a, b) is regular iff r divides a,
-    and the fourth column of a regular pb comes from the bounded cache of
-    factor.reciprocal_square."""
+    (unless None); it returns the number of rows before the band filter.  It walks the
+    same _window as _sides, with the same right-angle check.  Each Q's rows come from
+    two templates built once for that Q, one for each form of the fourth column, and are
+    written in blocks of at most _BLOCK rows.  With r the part of b = m*Q prime to 60,
+    the primitive leg pb = b/gcd(a, b) is regular iff r divides a, and the fourth column
+    of a regular pb comes from the bounded cache of factor.reciprocal_square."""
     binned = counts is not None
     last = len(counts) - 1 if binned else 0
     walked = 0

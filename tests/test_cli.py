@@ -644,7 +644,8 @@ sys.exit(code)
 
 
 def _forked(*args, **kwargs):
-    path = os.pathsep.join(filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 

@@ -669,7 +669,7 @@ def test_an_os_error_in_the_child_is_raised_here(forks, monkeypatch):
 
 
 class _FailsAfterAFork:
-    """A text sink that raises error at its first write after a fork."""
+    """A text sink that raises its error at its first write after a fork."""
 
     def __init__(self, forks, error):
         self.forks, self.error = forks, error
