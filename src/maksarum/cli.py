@@ -13,10 +13,10 @@ import argparse
 import gc
 import os
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager
-from fractions import Fraction
+from io import TextIOBase
 from math import gcd
-from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import circle, partitions, survey, tablet
 from .factor import fourth_column, prime_to_60, reciprocal_square
@@ -30,7 +30,7 @@ from .sexagesimal import paper_text, parse as parse_number, regular_power, to_st
 gc.freeze()
 
 
-def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIO) -> None:
+def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIOBase) -> None:
     """csv and tsv write each row as it comes; the table holds them all for its widths."""
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"
@@ -182,8 +182,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError(f"--bounded K must be >= 0, got {args.bounded}")
         x_range = None
         if args.xmin is not None or args.xmax is not None:
-            lo = parse_number(args.xmin).value if args.xmin is not None else Fraction(0)
-            hi = parse_number(args.xmax).value if args.xmax is not None else Fraction(args.m)
+            lo = parse_number(args.xmin).value if args.xmin is not None else 0
+            hi = parse_number(args.xmax).value if args.xmax is not None else args.m
             x_range = (lo, hi)
         header, rows = _bounded_rows(args.bounded, args.m, x_range, args.decimal)
     with _outputs(args.out) as (fp,):
@@ -247,6 +247,8 @@ def cmd_partitions(args: argparse.Namespace) -> int:
     if args.standard and args.m is not None:  # the thirty reciprocal pairs read no M
         raise ValueError("--M applies only to plain partitions and --scaled")
     if args.standard or args.scaled:
+        from fractions import Fraction
+
         header = ["n", "nbar"] if args.standard else ["X", "Y"]
         # n * nbar = 60, so (n * M/12) * (nbar * M/5) = M**2
         u, v = Fraction(m, 12), Fraction(m, 5)
@@ -283,13 +285,12 @@ def cmd_pi(args: argparse.Namespace) -> int:
     return 0
 
 
-GIZA_GENERATOR = Fraction(729, 125)  # 05.~49~55~12, found at four fractional digits
-
-
 def cmd_giza(args: argparse.Namespace) -> int:
+    from fractions import Fraction
     from math import atan2, degrees
 
-    pair = partitions.GeneratorPair(GIZA_GENERATOR, Fraction(144) / GIZA_GENERATOR, 12)
+    x = Fraction(729, 125)  # 05.~49~55~12, found at four fractional digits
+    pair = partitions.GeneratorPair(x, Fraction(144) / x, 12)
     q, t = partitions.pair_solution(pair)
     f = fourth_column(t)
     print(f"X = {to_string(pair.x)}  Y = {to_string(pair.y)}")

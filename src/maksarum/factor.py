@@ -10,7 +10,6 @@ as an integer coefficient times a power of 60.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -65,6 +64,8 @@ class FourthColumn(namedtuple("FourthColumn", "coefficient shift")):
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.coefficient, 60**self.shift)
 
     def __str__(self) -> str:
@@ -134,6 +135,8 @@ def normalized_sides(x_gen: Fraction, m: int = 12) -> tuple[Fraction, Fraction]:
 
     A = (m**2/X - X)/2 and D = (m**2/X + X)/2, so A**2 + m**2 == D**2.
     """
+    from fractions import Fraction
+
     x_gen = Fraction(x_gen)
     if x_gen <= 0:
         raise ValueError(f"generator must be positive, got {x_gen}")
@@ -150,6 +153,8 @@ def derive_q(a_side: Fraction, d_side: Fraction, m: int = 12) -> tuple[Fraction,
     divides out their gcd, and returns Q = 60**n / gcd.  Q may be a
     non-integer rational (the 3-4-5 row needs Q = 1/3 against m = 12).
     """
+    from fractions import Fraction
+
     a_side, d_side = Fraction(a_side), Fraction(d_side)
     if a_side <= 0:
         raise ValueError(f"short side must be positive, got {a_side}")
@@ -164,4 +169,6 @@ def derive_q(a_side: Fraction, d_side: Fraction, m: int = 12) -> tuple[Fraction,
 
 def angle_fraction(t: Triple) -> Fraction:
     """tan(theta) = a/b as an exact sort key (descending gives tablet order)."""
+    from fractions import Fraction
+
     return Fraction(t.a, t.b)

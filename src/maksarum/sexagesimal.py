@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from fractions import Fraction
 from functools import cache
 from itertools import product
 
@@ -143,6 +142,8 @@ class Sexagesimal:
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._scaled, BASE**self._frac_len)
 
     @property
@@ -203,6 +204,8 @@ def _value_of(x: object) -> Fraction | None:
     """Exact value of a Sexagesimal, int or Fraction; None for any other type."""
     if isinstance(x, Sexagesimal):
         return x.value
+    from fractions import Fraction
+
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     return None

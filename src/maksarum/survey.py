@@ -14,12 +14,12 @@ import math
 import os
 import sys
 from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack
-from fractions import Fraction
+from io import TextIOBase
 from itertools import product
 from math import atan2, ceil, degrees, floor, gcd, isqrt, prod
 from operator import add
-from typing import Iterable, Iterator, NoReturn, Sequence, TextIO
 
 from .factor import GeneratorSolution, Triple, angle_fraction, prime_to_60, reciprocal_square, solution
 # not called here; kept importable because perfbench/child.py wraps it by name
@@ -144,6 +144,8 @@ def _bounded_sides(
     # theta < pi/4 (A < m) is y - x < 2b, i.e. x > b*(sqrt(2) - 1); 2b**2 is no square
     lo, hi = isqrt(2 * b * b) - b + 1, b
     if x_range is not None:
+        from fractions import Fraction
+
         xmin, xmax = Fraction(x_range[0]), Fraction(x_range[1])
         if xmin > xmax:
             raise ValueError(f"empty X range: Xmin {xmin} is above Xmax {xmax}")
@@ -397,7 +399,7 @@ class Histogram(namedtuple("Histogram", "bin_width bins")):
     def total(self) -> int:
         return sum(c for (_, _, c) in self.bins)
 
-    def write_csv(self, fp: TextIO) -> None:
+    def write_csv(self, fp: TextIOBase) -> None:
         fp.write("bin_low_deg,bin_high_deg,count\n")
         for low, high, count in self.bins:
             fp.write(f"{low:.6f},{high:.6f},{count}\n")
@@ -431,7 +433,7 @@ CSV_HEADER = (
 )
 
 
-def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIO) -> None:
+def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIOBase) -> None:
     """One CSV row per solution; the fourth-column cells are blank when the ratio
     has no finite base-60 form (irregular Q)."""
     fp.write(CSV_HEADER + "\n")
@@ -462,7 +464,7 @@ _HEAD_SHARE = 0.47
 _COPY = 1 << 16
 
 
-def export(q_values: Iterable[int], m: int, band: str, fp: TextIO | None,
+def export(q_values: Iterable[int], m: int, band: str, fp: TextIOBase | None,
            bin_width_deg: float | None) -> Histogram | None:
     """write_records_csv to fp (unless None) and return the histogram (unless the width
     is None) of band_filter(enumerate_solutions(q_values, m), band), in one loop per Q
@@ -513,7 +515,7 @@ def _forkable() -> bool:
         return (os.cpu_count() or 1) > 1
 
 
-def _two_processes(head: Sequence[int], tail: Sequence[int], m: int, keep, fp: TextIO | None,
+def _two_processes(head: Sequence[int], tail: Sequence[int], m: int, keep, fp: TextIOBase | None,
                    counts: list[int] | None, width: float | None) -> None:
     """_rows over head here and over tail in a forked child; the child's rows are copied to
     fp after head's, and its bin counts are added to counts."""
@@ -554,8 +556,8 @@ def _two_processes(head: Sequence[int], tail: Sequence[int], m: int, keep, fp: T
                 fp.write(chunk)
 
 
-def _child(tail: Sequence[int], m: int, keep, spill: TextIO | None, counts: list[int] | None,
-           width: float | None, writable: int) -> NoReturn:
+def _child(tail: Sequence[int], m: int, keep, spill: TextIOBase | None, counts: list[int] | None,
+           width: float | None, writable: int):
     """The forked child: _rows over tail into spill, then b"C" and its bin counts, or b"E" and
     its pickled exception, to the pipe.  It leaves by os._exit, which runs no cleanup of the
     parent's and flushes none of its buffers, fp's and stdout's included."""

@@ -11,7 +11,9 @@ must stay lean, since every CLI start pays it: it loads no dataclasses, builds
 no typing.ForwardRef and compiles no regex.  It also freezes the objects it
 made, so that no collection walks them again, the ones at exit included.  A
 plain ``import maksarum`` freezes nothing.  ``tablet``, ``partitions`` and
-``circle`` load on first use, so a command loads only the ones it runs.
+``circle`` load on first use, so a command loads only the ones it runs, and
+``fractions`` is imported only where a Fraction is built: ``survey`` and
+``generate`` load neither it nor ``typing``.
 """
 
 import importlib.util
@@ -27,9 +29,10 @@ ROOT = Path(__file__).parent.parent
 CHILD = ROOT / "perfbench" / "child.py"
 
 # Counts the work that the package's own modules do at import: the standard modules that the
-# CLI needs anyway are loaded first, so only the package's own calls are counted.
+# CLI needs anyway, and typing to count its ForwardRefs, are loaded first, so only the
+# package's own calls are counted.
 PROBE = """
-import argparse, contextlib, decimal, fractions, gettext, re, typing
+import argparse, contextlib, gettext, re, typing
 import gc, json, sys
 calls = {"forward_refs": 0, "regex_compiles": 0}
 
@@ -66,10 +69,12 @@ def cli_import():
 
 
 def _fresh(code, *args):
-    """The stdout of code run by a fresh interpreter that imports the package from src."""
+    """The stdout of code run by a fresh interpreter that imports the package from src.  It
+    runs with -S: a site-packages .pth file may import any module at start-up, typing
+    among them, and would hide that the package imports it too."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, "-S", "-c", code, *args],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
     return proc.stdout
@@ -100,34 +105,53 @@ def test_library_import_keeps_its_gc():
     assert _fresh("import gc, maksarum; print(gc.get_freeze_count())") == "0\n"
 
 
-# a lazily loaded module is a types.ModuleType subclass until its first attribute read
+# A lazily loaded module is a types.ModuleType subclass until its first attribute read.  The
+# exact-value modules are counted beyond what the CLI's argparse, contextlib and gettext load,
+# which differs between Python versions.
 LOADED = """
-import contextlib, io, json, sys, types
+import sys
+import argparse, contextlib, gettext
+before = set(sys.modules)
+import io, types
 import maksarum.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = maksarum.cli.main(sys.argv[1:])
-print(json.dumps([code] + [name for name in ("tablet", "partitions", "circle")
-                           if type(sys.modules["maksarum." + name]) is types.ModuleType]))
+lazy = [name for name in ("tablet", "partitions", "circle")
+        if type(sys.modules["maksarum." + name]) is types.ModuleType]
+exact = sorted({"fractions", "decimal", "numbers", "typing"} & (set(sys.modules) - before))
+import json
+print(json.dumps([code, lazy, exact]))
 """
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["survey", "--Q-range", "1:50", "--report"], []),
-    (["survey", "--Q-range", "1:50", "--out", "F", "--histogram-out", "H"], []),
-    (["generate", "--Q", "10"], []),
-    (["generate", "--bounded", "3"], []),
-    (["reconstruct"], ["tablet"]),
-    (["pi"], ["circle"]),
-    (["giza"], ["partitions"]),
-    (["survey", "--Q-set", "p322", "--report"], ["tablet"]),
-    (["partitions", "--standard"], ["partitions"]),
-    (["partitions", "--scaled"], ["partitions"]),
-    (["partitions"], ["tablet", "partitions"]),
-], ids=["survey_report", "survey_export", "generate_q", "generate_bounded", "reconstruct", "pi", "giza",
-        "survey_p322", "partitions_standard", "partitions_scaled", "partitions"])
-def test_commands_load_only_what_they_run(tmp_path, monkeypatch, argv, loaded):
+@pytest.mark.parametrize("argv, loaded, fractions", [
+    (["survey", "--Q-range", "1:50", "--report"], [], False),
+    (["survey", "--Q-range", "1:50", "--out", "F", "--histogram-out", "H"], [], False),
+    (["generate", "--Q", "10"], [], False),
+    (["generate", "--Q", "10", "--decimal"], [], False),
+    (["generate", "--bounded", "3"], [], False),
+    (["generate", "--bounded", "3", "--decimal"], [], False),
+    (["generate", "--bounded", "3", "--Xmin", "05", "--Xmax", "06.~30"], [], True),
+    (["reconstruct"], ["tablet"], True),
+    (["pi"], ["circle"], True),
+    (["giza"], ["partitions"], True),
+    (["survey", "--Q-set", "p322", "--report"], ["tablet"], False),
+    (["partitions", "--standard"], ["partitions"], True),
+    (["partitions", "--scaled"], ["partitions"], True),
+    (["partitions"], ["tablet", "partitions"], True),
+], ids=["survey_report", "survey_export", "generate_q", "generate_q_decimal", "generate_bounded",
+        "generate_bounded_decimal", "generate_x_range", "reconstruct", "pi", "giza", "survey_p322",
+        "partitions_standard", "partitions_scaled", "partitions"])
+def test_commands_load_only_what_they_run(tmp_path, monkeypatch, argv, loaded, fractions):
+    # survey and generate build no Fraction, so they import neither fractions, with its
+    # decimal and numbers, nor typing; the X range and the exact-value commands need fractions
     monkeypatch.chdir(tmp_path)
-    assert json.loads(_fresh(LOADED, *argv)) == [0] + loaded
+    code, lazy, exact = json.loads(_fresh(LOADED, *argv))
+    assert (code, lazy) == (0, loaded)
+    if fractions:
+        assert "fractions" in exact
+    else:
+        assert exact == []
 
 
 LIBRARY = """
