@@ -85,6 +85,16 @@ def _decimal(text: str, what: str = "integer") -> int:
     return int(text)
 
 
+def _width(text: str) -> float:
+    """float(text) for ASCII text with no "_" or surrounding space; float() also reads "1_0" and "١"."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise ValueError(f"bad --bin-width {text!r}; expected a decimal number")
+
+
 class _Decimal(argparse.Action):
     """Store _decimal(text); its ValueError leaves parse_args for main's one-line error."""
 
@@ -221,7 +231,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
         raise ValueError(f"--out {args.out} and --histogram-out {args.histogram_out} are one file")
     if args.bin_width is not None and args.histogram_out is None:
         raise ValueError("--bin-width applies only to --histogram-out")
-    width = 1.0 if args.bin_width is None else args.bin_width
+    width = 1.0 if args.bin_width is None else _width(args.bin_width)
     survey.bin_count(width)
     qs = survey.q_set(_parse_q_selector(args), m=args.m)
     with _outputs(args.out, args.histogram_out) as (out, hist_out):  # a bad path prints no report
@@ -343,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true", help="print the count and ratio lines")
     p.add_argument("--out", default=None, help="write the record CSV here")
     p.add_argument("--histogram-out", default=None, help="write an angle histogram CSV here")
-    p.add_argument("--bin-width", type=float, default=None,
+    p.add_argument("--bin-width", default=None,
                    help="histogram bin width in degrees (default 1)")
     p.set_defaults(func=cmd_survey)
 

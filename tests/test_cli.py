@@ -488,6 +488,10 @@ def test_usage_errors():
     ["pi", "--digits", "\u0661"],
     ["pi", "--digits", "0"],
     ["pi", "--digits", "9"],
+    # a width is ASCII float text: argparse's float() would read "1_0" as 10 and "\u0661" as 1
+    ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "abc"],
+    ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "\u0661"],
+    ["survey", "--Q", "5", "--histogram-out", "F", "--bin-width", "1_0"],
     # generate streams its rows into --out: every check comes before the file opens
     ["generate", "--Q", "0", "--out", "t.tsv"],
     ["generate", "--Q", "5", "--M", "0", "--format", "tsv", "--out", "t.tsv"],
@@ -506,6 +510,8 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
         assert err == "maksarum: --bounded K must be >= 0, got -1\n"
     if argv == ["pi", "--digits", "9"]:
         assert err == "maksarum: --digits K must be in 1..8, got 9\n"
+    if argv[-1] in ("abc", "\u0661", "1_0") and argv[-2] == "--bin-width":
+        assert err.startswith("maksarum: bad --bin-width ")
 
 
 @pytest.mark.parametrize("text", [
