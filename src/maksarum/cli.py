@@ -227,7 +227,8 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if args.band != survey.BAND_FULL and not exporting:
         raise ValueError("--band applies only to --out and --histogram-out")
     files = [os.path.realpath(path) for path in (args.out, args.histogram_out) if path not in (None, "-")]
-    if len(files) == 2 and files[0] == files[1]:
+    # a hard link has a path of its own: only the two files' inodes show that it is one file
+    if len(files) == 2 and (files[0] == files[1] or all(map(os.path.exists, files)) and os.path.samefile(*files)):
         raise ValueError(f"--out {args.out} and --histogram-out {args.histogram_out} are one file")
     if args.bin_width is not None and args.histogram_out is None:
         raise ValueError("--bin-width applies only to --histogram-out")
@@ -347,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--Q-range", dest="q_range", metavar="LOW:HIGH")
     sel.add_argument("--Q-set", dest="q_set", choices=["p322"])
     p.add_argument("--M", dest="m", action=_Decimal, default=12)
-    p.add_argument("--band", choices=[survey.BAND_FULL, survey.BAND_PI6_PI4, survey.BAND_P322],
-                   default=survey.BAND_FULL,
+    p.add_argument("--band", choices=list(survey._BANDS), default=survey.BAND_FULL,
                    help="rows kept in --out and --histogram-out; --report prints all three bands")
     p.add_argument("--report", action="store_true", help="print the count and ratio lines")
     p.add_argument("--out", default=None, help="write the record CSV here")

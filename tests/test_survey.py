@@ -90,7 +90,7 @@ def test_enumerated_fourth_column_is_exact(m):
         _check_fourth(s.triple.a, s.triple.b, *(("", "") if f is None else f))
 
 
-def test_enumerate_solves_no_solution_twice(monkeypatch):
+def test_enumerate_solves_no_solution_twice(monkeypatch, refuse):
     qs, m = range(1, 41), 7
     want = []  # every generator of every Q through the checked library entry
     for q in qs:
@@ -101,15 +101,11 @@ def test_enumerate_solves_no_solution_twice(monkeypatch):
                 pass
     square = factor.reciprocal_square
 
-    def refuse(*args):
-        raise AssertionError("solved a solution again")
-
     def regular_only(pb):  # an irregular leg takes the cheap test, not an exception
         assert set(sympy.factorint(pb)) <= {2, 3, 5}, pb
         return square(pb)
 
-    monkeypatch.setattr("maksarum.survey.solve_integer", refuse)
-    monkeypatch.setattr("maksarum.factor.solve_integer", refuse)
+    refuse(monkeypatch, "maksarum.survey.solve_integer", "maksarum.factor.solve_integer")
     monkeypatch.setattr("maksarum.factor.reciprocal_square", regular_only)
     assert enumerate_solutions(qs, m) == want
 
@@ -247,11 +243,11 @@ def test_q_set_keeps_a_step_one_range():
 
 
 @pytest.mark.parametrize("holder", [list, set])
-def test_a_set_with_no_gap_takes_one_path_whatever_holds_it(monkeypatch, holder):
+def test_a_set_with_no_gap_takes_one_path_whatever_holds_it(monkeypatch, refuse, holder):
     qs = range(16, 1516)
     assert q_set(holder(qs)) == qs and q_set([7, 5]) == [5, 7]
     want = count_stats(qs)
-    _refuse(monkeypatch, "_set_legs")  # the range is wide enough for the sieve
+    refuse(monkeypatch, "maksarum.survey._set_legs")  # the range is wide enough for the sieve
     assert count_stats(holder(qs)) == want
 
 
@@ -282,11 +278,6 @@ def counts_to_5000():
 
 def test_count_stats_to_5000(counts_to_5000):
     assert counts_to_5000 == SurveyStats(304219, 16996, 15564, 53651, 1683, 1460)
-
-
-def test_count_stats_to_100000():
-    # README's line, printed by the split walk before the band walk counted the bands
-    assert count_stats(range(1, 100001)) == SurveyStats(9928132, 440585, 398403, 1376826, 33653, 29158)
 
 
 def test_count_stats_total_is_the_divisor_count_sum(counts_to_5000):
@@ -338,18 +329,6 @@ def _stream_stats(qs, m):
     return _tally((a, b) for _, _, _, a, b, _ in _sides(q_set(qs, m), m))
 
 
-def _refuse(monkeypatch, name):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"called survey.{name}")
-
-    monkeypatch.setattr(survey, name, refuse)
-
-
-def _refuse_split_walk(monkeypatch):
-    # of count_stats, only the split walk tests (pi/6, pi/4) through _in_pi6_pi4
-    _refuse(monkeypatch, "_in_pi6_pi4")
-
-
 def _sorted_legs(legs):
     """(L, mult, L in the set, L's odd prime powers) in L order, the powers ascending."""
     return sorted((leg, mult, member, sorted(pps)) for leg, mult, member, pps in legs)
@@ -369,12 +348,12 @@ def _legs_agree(lo, hi):
 ] + [(m, 16, 1515) for m in (1, 3, 12, 60)] + [
     (16, 1, 100), (16, 2, 100), (1, 85, 100), (1, 95, 100), (1000003, 1, 2),
 ])
-def test_class_counts_match_the_divisor_stream(monkeypatch, m, lo, hi):
+def test_class_counts_match_the_divisor_stream(monkeypatch, refuse, m, lo, hi):
     # count_stats counts primitive classes; odd M loses the x = 1 solution (the
     # split s = 1 of n = M*L) at Q = L; every source of L agrees on the range
     assert _legs_agree(lo, hi)
     want = _stream_stats(range(lo, hi + 1), m)
-    _refuse(monkeypatch, "_sides")  # the divisor walk
+    refuse(monkeypatch, "maksarum.survey._sides")  # the divisor walk
     assert count_stats(range(lo, hi + 1), m) == want
     assert count_stats(list(range(lo, hi + 1)), m) == want
 
@@ -398,11 +377,11 @@ def test_sieve_and_divisors_give_the_same_legs_at_random(lo, width):
 
 
 @pytest.mark.parametrize("m", [1, 7, 12])
-def test_count_stats_across_sieve_segments(monkeypatch, m):
+def test_count_stats_across_sieve_segments(monkeypatch, refuse, m):
     qs = range(survey._SEGMENT - 1000, survey._SEGMENT + 150)  # HIGH passes the first segment
     want = _stream_stats(qs, m)
     assert _legs_agree(qs[0], qs[-1])
-    _refuse(monkeypatch, "_set_legs")  # the range is wide enough for the sieve
+    refuse(monkeypatch, "maksarum.survey._set_legs")  # the range is wide enough for the sieve
     assert count_stats(qs, m) == want
     monkeypatch.setattr(survey, "_SEGMENT", 7)  # shorter than most primes the sieve divides by
     assert count_stats(qs, m) == want
@@ -415,22 +394,20 @@ SPLIT_WALK_M = (97, 250, 1001)
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(st.sampled_from(BAND_WALK_M + SPLIT_WALK_M), st.integers(1, 100), st.integers(120, 500))
-def test_both_band_counts_match_the_divisor_stream_at_random(m, lo, width):
+def test_both_band_counts_match_the_divisor_stream_at_random(refuse, m, lo, width):
     qs = range(lo, lo + width)
     want = _stream_stats(qs, m)
     with pytest.MonkeyPatch.context() as mp:
-        _refuse(mp, "_set_legs")  # every range drawn takes the sieve
-        if m in BAND_WALK_M:
-            _refuse_split_walk(mp)
-        else:
-            _refuse(mp, "_band_walk")
+        refuse(mp, "maksarum.survey._set_legs")  # every range drawn takes the sieve
+        # BAND_WALK_M take the band walk, never the split walk's (pi/6, pi/4) test; the rest the split walk
+        refuse(mp, "maksarum.survey._in_pi6_pi4" if m in BAND_WALK_M else "maksarum.survey._band_walk")
         assert count_stats(qs, m) == want
 
 
-def test_band_walk_counts_the_benchmark_window(monkeypatch):
+def test_band_walk_counts_the_benchmark_window(monkeypatch, refuse):
     qs = range(16, 1516)
     want = _stream_stats(qs, 12)
-    _refuse_split_walk(monkeypatch)
+    refuse(monkeypatch, "maksarum.survey._in_pi6_pi4")  # the split walk's band test
     assert count_stats(qs, 12) == want
 
 
@@ -438,9 +415,9 @@ def test_band_walk_counts_the_benchmark_window(monkeypatch):
     ([1125], 12), (p322_q_set(), 12), (range(1000, 1101), 12), (range(1, 301), 1001),
     (range(1, 41), 720720),
 ], ids=["Q 1125", "Q-set p322", "narrow window", "M 1001", "M 720720"])
-def test_split_walk_counts_sets_windows_and_large_m(monkeypatch, qs, m):
+def test_split_walk_counts_sets_windows_and_large_m(monkeypatch, refuse, qs, m):
     want = _stream_stats(qs, m)
-    _refuse(monkeypatch, "_band_walk")
+    refuse(monkeypatch, "maksarum.survey._band_walk")
     assert count_stats(qs, m) == want
 
 
@@ -515,8 +492,8 @@ def test_export_matches_the_records_on_a_benchmark_window():
     _check_export(range(5, 1505), 12, BAND_FULL, 1.0)
 
 
-def test_export_with_neither_output_walks_no_divisor(monkeypatch):
-    _refuse(monkeypatch, "divisors_from_factors")
+def test_export_with_neither_output_walks_no_divisor(monkeypatch, refuse):
+    refuse(monkeypatch, "maksarum.survey.divisors_from_factors")
     assert export(range(1, 41), 12, BAND_FULL, None, None) is None
 
 
