@@ -493,6 +493,21 @@ def test_bad_input_is_one_line_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+# the M refusals of REFUSALS, with the line derived from the M given rather than copied
+@pytest.mark.parametrize("argv, m", [
+    (["partitions", "--M", "0"], 0),
+    (["partitions", "--M", "-12"], -12),
+    (["partitions", "--scaled", "--M", "0"], 0),
+    (["generate", "--bounded", "3", "--M", "0"], 0),
+    (["partitions", "--standard", "--M", "0"], 0),
+    (["partitions", "--standard", "--M", "-12"], -12),
+])
+def test_bad_m_is_named(capsys, argv, m):
+    assert REFUSALS[tuple(argv)] == f"maksarum: M must be >= 1, got {m}"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"maksarum: M must be >= 1, got {m}\n")
+
+
 @pytest.mark.parametrize("text", [
     "0", "7", "+7", "-7", "007", "", "+", "-", "+-7", "--7", " 7", "7 ", "7\n", "1_0",
     "\u0663", "\u00b2", "\uff17", "1e3", "0x10", "7.0",
