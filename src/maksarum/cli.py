@@ -48,17 +48,27 @@ def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIOBase
             fp.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether path names the file this process's stdout writes to, as /dev/stdout does."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (OSError, ValueError):
+        return False
+
+
 @contextmanager
 def _outputs(*paths: str | None):
     """One stream per path, all opened before the caller writes: None for None, stdout
-    for "-", and the file at any other path, "" included.  Each file is opened without
+    for "-" and for a path that names stdout's own file, such as /dev/stdout (a second
+    stream there would be flushed out of order, and emptying it would drop what it
+    held), and the file at any other path, "" included.  Each file is opened without
     emptying it; if one cannot be opened, the files this call created are removed and
     the others keep their bytes.  Only then are the regular files emptied: /dev/null
     and pipes cannot be truncated."""
     with ExitStack() as stack:
         fps, created = [], []
         for path in paths:
-            if path is None or path == "-":
+            if path is None or path == "-" or _is_stdout(path):
                 fps.append(None if path is None else sys.stdout)
                 continue
             new = not os.path.exists(path)

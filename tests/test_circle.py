@@ -20,24 +20,6 @@ from maksarum.circle import (
 from maksarum.sexagesimal import to_string
 
 SRC = Path(__file__).parent.parent / "src"
-EXPECTED_DIGITS = [8, 29, 44, 0, 47, 25, 53, 7]
-
-
-def test_digit_sequence():
-    for k in range(1, 9):
-        approx = pi_digits(k)
-        assert approx.digits.frac_digits == EXPECTED_DIGITS[:k] or (
-            # trailing zeros are normalized away (k=4 ends in the zero digit)
-            approx.digits.frac_digits == _strip(EXPECTED_DIGITS[:k])
-        )
-        assert approx.digits.int_digits == [3]
-
-
-def _strip(digits):
-    out = list(digits)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 @pytest.mark.parametrize(
@@ -54,16 +36,6 @@ def _strip(digits):
 )
 def test_truncation_fractions(k, fraction):
     assert pi_digits(k).fractional_part == fraction
-
-
-def test_truncation_errors():
-    e3 = pi_digits(3).error
-    assert Decimal("6.0e-8") <= e3 <= Decimal("6.2e-8")
-    e8 = pi_digits(8).error
-    assert 0 < e8 < Decimal(1) / Decimal(60**8)
-    for k in range(1, 9):
-        approx = pi_digits(k)
-        assert 0 < approx.error < Decimal(1) / Decimal(60**k)
 
 
 def test_truncation_monotone_from_below():

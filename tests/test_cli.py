@@ -678,6 +678,24 @@ def test_a_two_process_export_leaves_no_warning(tmp_path):
     assert (tmp_path / "r.csv").stat().st_size > 0 and (tmp_path / "h.csv").stat().st_size > 0
 
 
+# with PYTHONUNBUFFERED set, a second stream on stdout's file would write in order anyway
+@pytest.mark.parametrize("out, hist_out", [("/dev/stdout", "-"), ("-", "/dev/stdout")])
+def test_a_path_that_names_stdout_is_stdout(tmp_path, monkeypatch, capsys, out, hist_out):
+    want = ["an earlier line\n"]  # then the report, the CSV and the histogram
+    for opts in (["--report"], ["--out", "-"], ["--histogram-out", "-"]):
+        assert main(["survey", "--Q", "10", *opts]) == 0
+        want.append(capsys.readouterr().out)
+    log = tmp_path / "log"
+    log.write_text(want[0])
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    argv = ["survey", "--Q", "10", "--report", "--out", out, "--histogram-out", hist_out]
+    with open(log, "a") as stdout:
+        proc = _forked("-c", FORKED, *argv, stdout=stdout, stderr=subprocess.PIPE)
+        assert proc.communicate(timeout=60)[1] == b"0 fork, no child left\n"
+    assert proc.returncode == 0
+    assert log.read_text() == "".join(want)
+
+
 @pytest.mark.parametrize("argv", [["generate", "--Q", "5"], ["reconstruct", "--format", "tsv"]])
 def test_unwritable_out_is_one_line_exit_1(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1  # a directory

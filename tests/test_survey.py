@@ -29,11 +29,10 @@ from maksarum.survey import (
     p322_selection,
     primitive_reduce,
     q_set,
-    rejected_p322_classes,
     stats,
     write_records_csv,
 )
-from maksarum.tablet import corrected_table, p322_q_set
+from maksarum.tablet import p322_q_set
 
 
 def brute_force_triples(q, m=12):
@@ -146,27 +145,6 @@ def test_primitive_reduce():
     assert primitive_reduce(Triple(119, 120, 169)) == Triple(119, 120, 169)
     assert primitive_reduce(Triple(45, 60, 75)) == Triple(3, 4, 5)
     assert primitive_reduce(primitive_reduce(Triple(45, 60, 75))) == Triple(3, 4, 5)
-
-
-def test_p322_selection():
-    recs = enumerate_solutions(p322_q_set())
-    sel = p322_selection(recs)
-    assert len(sel) == 15
-    corrected = [row.triple for row in corrected_table()]
-    # class-level bijection with the tablet
-    assert {tuple(primitive_reduce(t)) for t in sel} == {
-        tuple(primitive_reduce(t)) for t in corrected
-    }
-    # fourteen rows are selected verbatim; the 3-4-5 class keeps its 60x form
-    verbatim = [t for t in sel if t in corrected]
-    assert len(verbatim) == 14
-    assert [t for t in sel if t not in corrected] == [Triple(180, 240, 300)]
-    assert p322_selection([]) == []
-
-
-def test_rejected_class():
-    recs = enumerate_solutions(p322_q_set())
-    assert rejected_p322_classes(recs) == [Triple(175, 288, 337)]
 
 
 def test_selection_orders_by_descending_angle():
