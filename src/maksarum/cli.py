@@ -13,9 +13,10 @@ import argparse
 import gc
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager
 from io import TextIOBase
+from itertools import islice
 from math import gcd
 
 from . import circle, partitions, survey, tablet
@@ -30,13 +31,25 @@ from .sexagesimal import paper_text, parse as parse_number, regular_power, to_st
 gc.freeze()
 
 
-def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIOBase) -> None:
-    """csv and tsv write each row as it comes; the table holds them all for its widths."""
+# rows per write of a csv or tsv table: one write per row is one write(2) per row when stdout
+# is unbuffered or line-buffered.  Blocks of 4,096 rows raised bounded_search's peak RSS by
+# 1.1 MiB, blocks of 512 by 0.12 MiB
+_BLOCK = 512
+
+
+def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIOBase,
+          tail: Iterable[list[str]] | None = None) -> None:
+    """csv and tsv write the rows as they come, in blocks of at most _BLOCK rows, then the
+    rows of tail (unless None), which a forked child makes and writes (survey._two_processes).
+    The table holds every row for its widths, and takes no tail."""
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"
         fp.write(sep.join(header) + "\n")
-        for row in rows:
-            fp.write(sep.join(row) + "\n")
+        if tail is None:
+            _write_rows(rows, sep, fp.write)
+        else:
+            survey._two_processes(lambda write: _write_rows(rows, sep, write),
+                                  lambda write: _write_rows(tail, sep, write), fp)
     else:
         rows = list(rows)
         widths = [
@@ -48,41 +61,58 @@ def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIOBase
             fp.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
-def _is_stdout(path: str) -> bool:
-    """Whether path names the file this process's stdout writes to, as /dev/stdout does."""
+def _write_rows(rows: Iterable[list[str]], sep: str, write) -> None:
+    lines = (sep.join(row) + "\n" for row in rows)
+    while block := "".join(islice(lines, _BLOCK)):
+        write(block)
+
+
+def _standard_stream(path: str) -> TextIOBase | None:
+    """sys.stdout for "-", and sys.stdout or sys.stderr for a path that names the file it
+    writes to, as /dev/stdout and /dev/stderr do; None for any other path."""
+    if path == "-":
+        return sys.stdout
     try:
-        return os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+        target = os.stat(path)
     except (OSError, ValueError):
-        return False
+        return None
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if os.path.samestat(target, os.fstat(stream.fileno())):
+                return stream
+        except (OSError, ValueError):  # a stream with no file, such as a StringIO
+            pass
+    return None
 
 
 @contextmanager
 def _outputs(*paths: str | None):
-    """One stream per path, all opened before the caller writes: None for None, stdout
-    for "-" and for a path that names stdout's own file, such as /dev/stdout (a second
-    stream there would be flushed out of order, and emptying it would drop what it
-    held), and the file at any other path, "" included.  Each file is opened without
-    emptying it; if one cannot be opened, the files this call created are removed and
-    the others keep their bytes.  Only then are the regular files emptied: /dev/null
-    and pipes cannot be truncated."""
+    """One stream per path, all opened before the caller writes: None for None, the
+    _standard_stream of "-" and of a path that names stdout's or stderr's own file, such
+    as /dev/stdout (a second stream there would be flushed out of order, and emptying it
+    would drop what it held), and the file at any other path, "" included.  Each file is
+    opened without emptying it; if one cannot be opened, the files this call created are
+    removed and the others keep their bytes.  Only then are the regular files emptied:
+    /dev/null and pipes cannot be truncated."""
     with ExitStack() as stack:
-        fps, created = [], []
+        fps, opened, created = [], [], []
         for path in paths:
-            if path is None or path == "-" or _is_stdout(path):
-                fps.append(None if path is None else sys.stdout)
-                continue
-            new = not os.path.exists(path)
-            try:
-                fps.append(stack.enter_context(open(path, "a", encoding="utf-8")))
-            except OSError:
-                stack.close()
-                for made in created:
-                    os.remove(made)
-                raise
-            if new:  # the file a dangling symlink points to, not the link
-                created.append(os.path.realpath(path))
-        for fp in fps:
-            if fp not in (None, sys.stdout) and os.path.isfile(fp.name):
+            fp = None if path is None else _standard_stream(path)
+            if fp is None and path is not None:
+                new = not os.path.exists(path)
+                try:
+                    fp = stack.enter_context(open(path, "a", encoding="utf-8"))
+                except OSError:
+                    stack.close()
+                    for made in created:
+                        os.remove(made)
+                    raise
+                opened.append(fp)
+                if new:  # the file a dangling symlink points to, not the link
+                    created.append(os.path.realpath(path))
+            fps.append(fp)
+        for fp in opened:
+            if os.path.isfile(fp.name):
                 fp.truncate(0)
         yield fps
 
@@ -148,12 +178,23 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 # --- generate ---------------------------------------------------------------
 
-def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], Iterator[list[str]]]:
-    """Q's integer table.  Each fourth cell comes from (a, b, r) as in survey.export: blank
-    when r, the part of b = m*Q prime to 60, does not divide a, else (a/g)**2 * mult at the
-    shift of reciprocal_square(b/g); with a regular b, decimal cells are (a*60**p/b)**2 S-2p."""
-    qs = survey.q_set([q], m)  # checks M and Q now
+# a csv or tsv table is written from two processes from this many rows of paper-text cells,
+# or of decimal cells, which cost a half to a fifth as much to make.  On a 2-vCPU guest two
+# processes lost up to 859 paper rows and won from 1,039; they lost at 3,119 and 4,010
+# decimal rows of --Q, tied at 4,739 and won from 5,198 (BENCH_33.json)
+_FORK_ROWS, _FORK_ROWS_DECIMAL = 1000, 5000
+
+_Rows = Callable[[int, int], Iterator[list[str]]]
+
+
+def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], int, _Rows]:
+    """Q's integer table: its header, its row count and rows(start, stop), its rows from start
+    to stop.  Each fourth cell comes from (a, b, r) as in survey.export: blank when r, the
+    part of b = m*Q prime to 60, does not divide a, else (a/g)**2 * mult at the shift of
+    reciprocal_square(b/g); with a regular b, decimal cells are (a*60**p/b)**2 S-2p."""
+    survey.q_set([q], m)  # checks M and Q
     b = m * q
+    k, csq, us = survey._window(b)
     r = prime_to_60(b)
     cell = str if decimal else paper_text
     squared = decimal and r == 1
@@ -162,8 +203,8 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], Iterator[lis
         scale, tail = 60**p // b, f"S-{2 * p}"
     sep = "" if decimal else " "
 
-    def rows() -> Iterator[list[str]]:
-        for _, x, y, a, _, d in survey._sides(qs, m):
+    def rows(start: int, stop: int) -> Iterator[list[str]]:
+        for _, x, y, a, _, d in survey._walk(q, b, k, csq, islice(us, start, stop)):
             if a % r:
                 fourth = ""
             elif squared:
@@ -174,29 +215,33 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], Iterator[lis
                 fourth = f"{cell((a // g) ** 2 * mult)}{sep}S-{shift}"
             yield [cell(c) for c in (x, y, b, a, d, a * a)] + [fourth]
 
-    return ["x", "y", "b", "a", "d", "a2", "fourth"], rows()
+    return ["x", "y", "b", "a", "d", "a2", "fourth"], len(us), rows
 
 
-def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], Iterator[list[str]]]:
+def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], int, _Rows]:
+    """As _qtable_rows for the pairs within k fractional digits; places count from 1 at the
+    table's first row, wherever rows starts."""
     # each pair is (x, y) / 60**k for an integer solution (x, y, a, b, d) at Q = 60**k
-    sides = enumerate(survey._bounded_sides(m, k, x_range), 1)  # checks M, K and the range now
-    if not decimal:
-        return ["place", "X", "Y", "A", "D"], (
-            [str(place), paper_text(x, k), paper_text(y, k), paper_text(a, k), paper_text(d, k)]
-            for place, (_, x, y, a, _, d) in sides
-        )
-    return ["place", "b", "d", "a", "ratio"], (
-        [str(place), str(b // g), str(d // g), str(a // g), f"{(a // g) ** 2 / (b // g) ** 2:.15g}"]
-        for place, (_, _, _, a, b, d) in sides
-        for g in [gcd(a, b)]  # divides d too
-    )
+    q, b, kk, csq, us = survey._bounded_window(m, k, x_range)  # checks M, K and the range
+
+    def rows(start: int, stop: int) -> Iterator[list[str]]:
+        sides = enumerate(survey._walk(q, b, kk, csq, islice(us, start, stop)), start + 1)
+        if not decimal:
+            return ([str(place), paper_text(x, k), paper_text(y, k), paper_text(a, k), paper_text(d, k)]
+                    for place, (_, x, y, a, _, d) in sides)
+        return ([str(place), str(b // g), str(d // g), str(a // g), f"{(a // g) ** 2 / (b // g) ** 2:.15g}"]
+                for place, (_, _, _, a, b, d) in sides
+                for g in [gcd(a, b)])  # divides d too
+
+    header = ["place", "b", "d", "a", "ratio"] if decimal else ["place", "X", "Y", "A", "D"]
+    return header, len(us), rows
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.q is not None:
         if args.xmin is not None or args.xmax is not None:
             raise ValueError("--Xmin and --Xmax apply only to --bounded")
-        header, rows = _qtable_rows(args.q, args.m, args.decimal)
+        header, count, rows = _qtable_rows(args.q, args.m, args.decimal)
     else:
         if args.bounded < 0:
             raise ValueError(f"--bounded K must be >= 0, got {args.bounded}")
@@ -205,9 +250,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
             lo = parse_number(args.xmin).value if args.xmin is not None else 0
             hi = parse_number(args.xmax).value if args.xmax is not None else args.m
             x_range = (lo, hi)
-        header, rows = _bounded_rows(args.bounded, args.m, x_range, args.decimal)
+        header, count, rows = _bounded_rows(args.bounded, args.m, x_range, args.decimal)
+    # the rows after split are made and written by a forked child
+    least = _FORK_ROWS_DECIMAL if args.decimal else _FORK_ROWS
+    split = count // 2 if args.format != "table" and count >= least and survey._forkable() else count
     with _outputs(args.out) as (fp,):
-        _emit(header, rows, args.format, fp)
+        _emit(header, rows(0, split), args.format, fp, rows(split, count) if split < count else None)
     return 0
 
 

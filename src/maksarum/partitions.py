@@ -118,7 +118,7 @@ def enumerate_bounded(
     gives 59 pairs, of which the historical 51-row table omits eight (see
     tests/test_acceptance.py::test_c04b_bounded_table_row_count_as_stated).
     """
-    sides = survey._bounded_sides(m, max_frac_digits, x_range)
+    sides = survey._walk(*survey._bounded_window(m, max_frac_digits, x_range))
     scale = 60**max_frac_digits
     return [GeneratorPair(Fraction(x, scale), Fraction(y, scale), m) for _, x, y, *_ in sides]
 

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from io import TextIOBase
 from itertools import product
@@ -114,27 +114,34 @@ def _sides(
     qs: Iterable[int], m: int, lo: int = 2, hi: int | None = None
 ) -> Iterator[tuple[int, int, int, int, int, int]]:
     """(q, x, y, a, b, d) for every solution over the checked scale generators, in
-    (Q, x) order: b = m*Q, x from _window(b, lo, hi), y = b**2/x, a = (y - x)/2 and
-    d = (y + x)/2, each checked to be a right triangle.  export walks the same window
-    in a loop of its own, which spares it a generator resume per row."""
+    (Q, x) order: b = m*Q and x from _window(b, lo, hi), as _walk gives them.  export
+    walks the same window in a loop of its own, which spares it a generator resume per
+    row."""
     for q in qs:
         b = m * q
-        bsq = b * b
-        k, csq, us = _window(b, lo, hi)
-        for u in us:
-            x, y = k * u, k * (csq // u)
-            a, d = (y - x) // 2, (y + x) // 2
-            if a * a + bsq != d * d:
-                raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
-            yield q, x, y, a, b, d
+        yield from _walk(q, b, *_window(b, lo, hi))
 
 
-def _bounded_sides(
-    m: int, max_frac_digits: int, x_range: tuple[Fraction, Fraction] | None
+def _walk(
+    q: int, b: int, k: int, csq: int, us: Iterable[int]
 ) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """_sides at Q = 60**max_frac_digits over the window of the pairs within the digit
-    budget; each pair is (x, y) / 60**max_frac_digits.  M, the budget and the X range
-    are checked when this is called, before any pair is made."""
+    """(q, x, y, a, b, d) for each u of a _window (k, csq, us) of b = m*Q: x = k*u,
+    y = b**2/x, a = (y - x)/2 and d = (y + x)/2, each checked to be a right triangle."""
+    bsq = b * b
+    for u in us:
+        x, y = k * u, k * (csq // u)
+        a, d = (y - x) // 2, (y + x) // 2
+        if a * a + bsq != d * d:
+            raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
+        yield q, x, y, a, b, d
+
+
+def _bounded_window(
+    m: int, max_frac_digits: int, x_range: tuple[Fraction, Fraction] | None
+) -> tuple[int, int, int, int, list[int]]:
+    """(q, b, k, csq, us) for _walk: the _window at Q = 60**max_frac_digits of the pairs
+    within the digit budget; each pair is (x, y) / 60**max_frac_digits.  M, the budget
+    and the X range are checked here, before any pair is made."""
     if m < 1:
         raise ValueError(f"M must be >= 1, got {m}")
     if max_frac_digits < 0:
@@ -150,7 +157,7 @@ def _bounded_sides(
         if xmin > xmax:
             raise ValueError(f"empty X range: Xmin {xmin} is above Xmax {xmax}")
         lo, hi = max(lo, ceil(xmin * scale)), min(hi, floor(xmax * scale) + 1)
-    return _sides([scale], m, lo, hi)
+    return scale, b, *_window(b, lo, hi)
 
 
 def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[GeneratorSolution]:
@@ -472,15 +479,10 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIOBase | None,
 
     The first Qs are walked by this process until they have given _PROBE_ROWS rows
     before the band filter.  If the other Qs, at the same rows per Q, hold at least
-    _FORK_MIN_ROWS rows, os.fork exists, this process runs no other thread and may use
-    a second CPU, those Qs are split in two: a forked child walks the last 53% of them
-    into an unlinked temporary file while this process walks the first 47% into fp,
-    then copies the child's rows after its own in chunks of _COPY characters through
-    fp.write.  So the rows keep their order, any text sink works and memory stays
-    flat, and no Q is factorized twice.  A set with fewer rows, or one Q however many
-    rows it has, is walked by this process alone.  An exception of the child is raised
-    here with its class and text; the child is reaped before this returns or raises,
-    and killed first if this process fails."""
+    _FORK_MIN_ROWS rows and _forkable(), those Qs are split in two by _two_processes: a
+    forked child walks the last 53% of them, with bin counts of its own, while this
+    process walks the first 47% into fp.  No Q is factorized twice.  A set with fewer
+    rows, or one Q however many rows it has, is walked by this process alone."""
     qs = q_set(q_values, m)
     keep = None if band == BAND_FULL else _band_test(band)
     if fp is None and bin_width_deg is None:
@@ -497,7 +499,16 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIOBase | None,
     rest = qs[done:]
     if len(rest) > 1 and rows * len(rest) >= _FORK_MIN_ROWS * done and _forkable():
         split = round(len(rest) * _HEAD_SHARE)
-        _two_processes(rest[:split], rest[split:], m, keep, fp, counts, bin_width_deg)
+        zeros = None if counts is None else [0] * len(counts)  # the child counts its own bins
+
+        def tail(write):
+            _rows(rest[split:], m, keep, write, zeros, bin_width_deg)
+            return zeros
+
+        theirs = _two_processes(lambda write: _rows(rest[:split], m, keep, write, counts, bin_width_deg),
+                                tail, fp)
+        if counts is not None:
+            counts[:] = map(add, counts, theirs)
     else:
         _rows(rest, m, keep, write, counts, bin_width_deg)
     return None if counts is None else _binned(counts, bin_width_deg)
@@ -515,11 +526,15 @@ def _forkable() -> bool:
         return (os.cpu_count() or 1) > 1
 
 
-def _two_processes(head: Sequence[int], tail: Sequence[int], m: int, keep, fp: TextIOBase | None,
-                   counts: list[int] | None, width: float | None) -> None:
-    """_rows over head here and over tail in a forked child; the child's rows are copied to
-    fp after head's, and its bin counts are added to counts."""
-    import tempfile  # only a long export needs it
+def _two_processes(head: Callable, tail: Callable, fp: TextIOBase | None):
+    """head(write) here and tail(write) in a forked child, and tail's result, which marshal
+    must take, returned here.  write is fp.write here and, in the child, the write of an
+    unlinked temporary file, whose text is copied to fp after head's in chunks of _COPY
+    characters; with fp None, write is None on both sides.  So the text keeps its order,
+    any text sink works and memory stays flat.  An exception of the child is raised here
+    with its class and text; the child is reaped before this returns or raises, and
+    killed first if this process fails."""
+    import tempfile  # only a long export or table needs it
 
     with ExitStack() as stack:
         spill = None if fp is None else stack.enter_context(
@@ -528,13 +543,12 @@ def _two_processes(head: Sequence[int], tail: Sequence[int], m: int, keep, fp: T
         reply = stack.enter_context(open(readable, "rb"))
         try:
             pid = os.fork()
-            if pid == 0:  # the child counts its own bins, from zero
-                zeros = None if counts is None else [0] * len(counts)
-                _child(tail, m, keep, spill, zeros, width, writable)
+            if pid == 0:
+                _child(tail, spill, writable)
         finally:
             os.close(writable)
         try:
-            _rows(head, m, keep, None if fp is None else fp.write, counts, width)
+            head(None if fp is None else fp.write)
             answer = reply.read()
         except BaseException:
             import signal
@@ -547,28 +561,26 @@ def _two_processes(head: Sequence[int], tail: Sequence[int], m: int, keep, fp: T
             raise pickle.loads(answer[1:])
         if answer[:1] != b"C":  # the child ended before it could answer
             raise ChildProcessError(
-                f"export's second process ended with exit code {os.waitstatus_to_exitcode(status)}")
-        if counts is not None:
-            counts[:] = map(add, counts, marshal.loads(answer[1:]))
+                f"the second process ended with exit code {os.waitstatus_to_exitcode(status)}")
         if spill is not None:
             spill.seek(0)
             while chunk := spill.read(_COPY):
                 fp.write(chunk)
+        return marshal.loads(answer[1:])
 
 
-def _child(tail: Sequence[int], m: int, keep, spill: TextIOBase | None, counts: list[int] | None,
-           width: float | None, writable: int):
-    """The forked child: _rows over tail into spill, then b"C" and its bin counts, or b"E" and
-    its pickled exception, to the pipe.  It leaves by os._exit, which runs no cleanup of the
+def _child(job: Callable, spill: TextIOBase | None, writable: int):
+    """The forked child: job(spill.write), then b"C" and job's result, or b"E" and its
+    pickled exception, to the pipe.  It leaves by os._exit, which runs no cleanup of the
     parent's and flushes none of its buffers, fp's and stdout's included."""
     status = 1
     try:
         with open(writable, "wb") as reply:
             try:
-                _rows(tail, m, keep, None if spill is None else spill.write, counts, width)
+                result = job(None if spill is None else spill.write)
                 if spill is not None:
                     spill.flush()
-                answer = b"C" + marshal.dumps(counts)
+                answer = b"C" + marshal.dumps(result)
             except BaseException as exc:
                 import pickle
                 answer = b"E" + pickle.dumps(exc)

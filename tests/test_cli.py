@@ -655,13 +655,20 @@ def _forked(*args, **kwargs):
     return subprocess.Popen([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
-# the reader closes after the header, before export forks, or after 1 MiB, past the first
-# Qs' 0.2 MB and so after the fork
-@pytest.mark.parametrize("more, forked", [(0, 0), (1 << 20, 1)])
-def test_a_reader_that_closes_early_ends_the_export_quietly(more, forked):
-    proc = _forked("-c", FORKED, "survey", "--Q-range", "1:1500", "--out", "-",
-                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == (survey.CSV_HEADER + "\n").encode()
+EXPORT = ["survey", "--Q-range", "1:1500"]
+TABLE = ["generate", "--bounded", "22", "--format", "tsv"]  # 2,021 rows, 376 kB
+
+
+# the reader closes after the header: before export forks, or while the table's first half
+# is written; or after 1 MiB, past the export's first Qs' 0.2 MB and so after its fork; or
+# after 300 kB, past the table's first half and so while the child's rows are copied
+@pytest.mark.parametrize("argv, more, forked", [
+    (EXPORT, 0, 0), (EXPORT, 1 << 20, 1), (TABLE, 0, 1), (TABLE, 300_000, 1),
+], ids=["0-0", "1048576-1", "table-0-1", "table-300000-1"])
+def test_a_reader_that_closes_early_ends_the_export_quietly(argv, more, forked):
+    proc = _forked("-c", FORKED, *argv, "--out", "-", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    header = survey.CSV_HEADER if argv == EXPORT else "place\tX\tY\tA\tD"
+    assert proc.stdout.readline() == (header + "\n").encode()
     assert len(proc.stdout.read(more)) == more
     proc.stdout.close()
     assert proc.communicate(timeout=60)[1] == f"{forked} fork, no child left\n".encode()  # no traceback
@@ -671,11 +678,39 @@ def test_a_reader_that_closes_early_ends_the_export_quietly(more, forked):
 def test_a_two_process_export_leaves_no_warning(tmp_path):
     # -X dev -W error: an unclosed pipe or temporary file warns, and so does a fork with threads
     # running (Python 3.12); a warning in a finalizer is printed, not raised, so read stderr
-    argv = ["survey", "--Q-range", "1:1500", "--out", "r.csv", "--histogram-out", "h.csv"]
-    proc = _forked("-X", "dev", "-W", "error", "-c", FORKED, *argv, cwd=tmp_path, stderr=subprocess.PIPE)
-    assert proc.communicate(timeout=60)[1] == b"1 fork, no child left\n"
-    assert proc.returncode == 0
-    assert (tmp_path / "r.csv").stat().st_size > 0 and (tmp_path / "h.csv").stat().st_size > 0
+    for argv in [[*EXPORT, "--out", "r.csv", "--histogram-out", "h.csv"], [*TABLE, "--out", "t.tsv"]]:
+        proc = _forked("-X", "dev", "-W", "error", "-c", FORKED, *argv, cwd=tmp_path, stderr=subprocess.PIPE)
+        assert proc.communicate(timeout=60)[1] == b"1 fork, no child left\n"
+        assert proc.returncode == 0
+    for name in ["r.csv", "h.csv", "t.tsv"]:
+        assert (tmp_path / name).stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv, forked", [
+    (TABLE, 1),
+    (["generate", "--bounded", "22", "--M", "20", "--format", "csv"], 1),  # 1,997 rows
+    (["generate", "--Q", "12252240", "--format", "tsv"], 1),  # 9,355 rows
+    (["generate", "--bounded", "22", "--decimal", "--format", "tsv"], 0),
+    (["generate", "--bounded", "60", "--M", "20", "--decimal", "--format", "csv"], 1),  # 14,181 rows
+    (["generate", "--Q", "3603600", "--decimal", "--format", "csv"], 1),  # 5,197 rows
+    (["generate", "--Q", "12252240", "--decimal"], 0),  # the table holds its rows
+    (["generate", "--bounded", "22"], 0),
+    (["generate", "--bounded", "3", "--format", "tsv"], 0),
+    (["generate", "--Q", "5", "--format", "tsv"], 0),
+], ids=["bounded22_tsv", "bounded22_m20_csv", "q12252240_tsv", "bounded22_decimal_tsv",
+        "bounded60_m20_decimal_csv", "q3603600_decimal_csv", "q12252240_decimal_table", "bounded22_table",
+        "bounded3_tsv", "q5_tsv"])
+def test_a_long_table_is_written_from_two_processes(forks, monkeypatch, capsys, argv, forked):
+    code, out = run(capsys, *argv)
+    assert code == 0 and len(forks) == forked
+    rows, table = out.count("\n") - 1, "--format" not in argv
+    # one row short of the threshold, at it, and at it with one CPU: the same bytes
+    for rule, cpus, more in [(rows + 1, {0, 1}, 0), (rows, {0, 1}, not table), (rows, {0}, 0)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(cli, "_FORK_ROWS_DECIMAL" if "--decimal" in argv else "_FORK_ROWS", rule)
+        assert run(capsys, *argv) == (0, out)
+        assert len(forks) == forked + more
+        forked += more
 
 
 # with PYTHONUNBUFFERED set, a second stream on stdout's file would write in order anyway
@@ -696,6 +731,19 @@ def test_a_path_that_names_stdout_is_stdout(tmp_path, monkeypatch, capsys, out, 
     assert log.read_text() == "".join(want)
 
 
+def test_a_path_that_names_stderr_is_stderr(tmp_path, monkeypatch, capsys):
+    argv = ["generate", "--Q", "5", "--format", "tsv"]
+    table = run(capsys, *argv)[1]
+    log = tmp_path / "log"
+    log.write_text("an earlier line\n")
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    with open(log, "a") as stderr:
+        proc = _forked("-c", FORKED, *argv, "--out", "/dev/stderr", stdout=subprocess.PIPE, stderr=stderr)
+        assert proc.communicate(timeout=60)[0] == b""
+    assert proc.returncode == 0
+    assert log.read_text() == "an earlier line\n" + table + "0 fork, no child left\n"
+
+
 @pytest.mark.parametrize("argv", [["generate", "--Q", "5"], ["reconstruct", "--format", "tsv"]])
 def test_unwritable_out_is_one_line_exit_1(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 1  # a directory
@@ -705,14 +753,39 @@ def test_unwritable_out_is_one_line_exit_1(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
-def test_emit_writes_each_row_before_the_next(fmt, sep):
-    fp = io.StringIO()
+def test_emit_writes_each_row_before_the_next(monkeypatch, fmt, sep):
+    # with blocks of one row each row is written before the next is made; with blocks of
+    # two, each block before the next block's first row
+    for block in (1, 2):
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        fp = io.StringIO()
 
-    def rows():
-        for i in range(3):
-            assert fp.getvalue().count("\n") == 1 + i  # the header and every earlier row
-            yield [str(i), "x"]
+        def rows():
+            for i in range(5):
+                assert fp.getvalue().count("\n") == 1 + i - i % block  # the header and every earlier block
+                yield [str(i), "x"]
 
-    cli._emit(["n", "v"], rows(), fmt, fp)
-    assert fp.getvalue() == f"n{sep}v\n0{sep}x\n1{sep}x\n2{sep}x\n"
+        cli._emit(["n", "v"], rows(), fmt, fp)
+        assert fp.getvalue() == f"n{sep}v\n" + "".join(f"{i}{sep}x\n" for i in range(5))
+
+
+class _Writes(io.StringIO):
+    """A text sink that counts its writes."""
+
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+def test_a_table_is_written_in_blocks_of_rows(monkeypatch, capsys):
+    # one write per row would be one write(2) per row to an unbuffered or line-buffered stdout
+    argv = ["generate", "--bounded", "22", "--format", "tsv"]
+    want = run(capsys, *argv)[1]
+    rows = want.count("\n") - 1
+    monkeypatch.setattr(sys, "stdout", _Writes())
+    assert main(argv) == 0
+    assert sys.stdout.getvalue() == want
+    assert sys.stdout.calls <= -(-rows // cli._BLOCK) + 1 < rows // 100  # the header, then the blocks
 

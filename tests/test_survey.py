@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import sys
 import tempfile
 import threading
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from maksarum import factor, ntheory, survey
+from maksarum import cli, factor, ntheory, survey
 from maksarum.factor import GeneratorError, Triple, solve_integer
 from maksarum.survey import (
     BAND_FULL,
@@ -596,9 +597,17 @@ def test_one_process_without_fork_a_second_cpu_or_a_quiet_process(forks, monkeyp
     assert not thread.is_alive()
 
 
-def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, a_non_divisor):
+def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, capsys, a_non_divisor):
     qs = range(5, 1505)
     wrong = survey.divisors_from_factors  # a_non_divisor's
+    # a table's one window ends with the non-divisor, in the child's half: one line, exit 2
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert cli.main(["generate", "--bounded", "22", "--format", "tsv"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("maksarum: not a right triangle: ")
+    assert len(forks) == 1
 
     def at_the_last_q(factors, lo=1, hi=None):  # which the child walks; c = 6*Q
         last = math.prod(p**e for p, e in factors.items()) == (6 * qs[-1]) ** 2
@@ -611,35 +620,46 @@ def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, a_n
         with pytest.raises(ValueError) as raised:
             export(qs, 12, BAND_FULL, fp, width)
         assert type(raised.value) is ValueError and str(raised.value) == str(one_q.value)
-    assert len(forks) == 2
+    assert len(forks) == 3
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_an_os_error_in_the_child_is_raised_here(forks, monkeypatch):
+def test_an_os_error_in_the_child_is_raised_here(forks, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: open("/dev/full", "w+"))
     with pytest.raises(OSError) as raised:
         export(range(5, 1505), 12, BAND_FULL, io.StringIO(), None)
     assert type(raised.value) is OSError and str(raised.value) == "[Errno 28] No space left on device"
-    assert len(forks) == 1
+    assert cli.main(["generate", "--bounded", "22", "--format", "tsv"]) == 1
+    assert capsys.readouterr().err == "maksarum: [Errno 28] No space left on device\n"
+    assert len(forks) == 2
 
 
 class _FailsAfterAFork:
     """A text sink that raises its error at its first write after a fork."""
 
     def __init__(self, forks, error):
-        self.forks, self.error = forks, error
+        self.forks, self.before, self.error = forks, len(forks), error
 
     def write(self, text):
-        if self.forks:
+        if len(self.forks) > self.before:
             raise self.error
 
 
 @pytest.mark.parametrize("error", [KeyboardInterrupt(), OSError(28, "No space left on device")])
-def test_the_child_is_killed_and_reaped_when_this_process_fails(forks, error):
+def test_the_child_is_killed_and_reaped_when_this_process_fails(forks, monkeypatch, capsys, error):
     with pytest.raises(type(error)) as raised:
         export(range(5, 1505), 12, BAND_FULL, _FailsAfterAFork(forks, error), 1.0)
     assert raised.value is error
-    assert len(forks) == 1
+    monkeypatch.setattr(sys, "stdout", _FailsAfterAFork(forks, error))  # a table's stdout
+    argv = ["generate", "--bounded", "22", "--format", "tsv"]
+    if isinstance(error, OSError):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"maksarum: {error}\n"
+    else:
+        with pytest.raises(type(error)) as raised:
+            cli.main(argv)
+        assert raised.value is error
+    assert len(forks) == 2
 
 
 def test_a_child_that_ends_with_no_answer_is_an_error(forks, monkeypatch):

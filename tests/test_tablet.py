@@ -4,12 +4,9 @@ from maksarum.factor import Triple, angle_fraction
 from maksarum.sexagesimal import parse, place_value_equal
 from maksarum.tablet import (
     ERROR_NONE,
-    SET_C,
-    congruence_report,
     corrected_table,
     explain_errors,
     p322_q_set,
-    prime_report,
     reconstruct,
     reconstruct_all,
     row15_repairs,
@@ -80,26 +77,6 @@ def test_row15_repairs():
     assert repairs["double_d"] == Triple(56, 90, 106)
     assert repairs["halve_a"] == Triple(28, 45, 53)
     assert repairs["scale_60"] == Triple(1680, 2700, 3180) == corrected_table()[14].triple
-
-
-def test_congruence_report():
-    rep = congruence_report()
-    assert len(rep.lines) == 15
-    assert all(line.identity_holds for line in rep.lines)
-    assert rep.lines[0].residues == (59, 0, 49)
-    assert rep.lines[10].residues == (45, 0, 15)
-    assert rep.lines[14].residues == (28, 45, 53)
-    assert rep.set_c_count == 25
-    assert len(SET_C) == 15 and 49 in SET_C
-
-
-def test_prime_report():
-    rep = prime_report()
-    assert [line.index for line in rep.lines if line.d_prime] == [4, 5, 7, 8, 9, 10, 14]
-    assert rep.raw_row15_d_prime
-    assert rep.diagonal_prime_count == 8
-    # corrected short sides are all composite (4601 = 43*107, 12709 = 71*179, ...)
-    assert not any(line.a_prime for line in rep.lines)
 
 
 def test_rows_sort_to_tablet_order():
