@@ -32,8 +32,8 @@ gc.freeze()
 
 
 # rows per write of a csv or tsv table: one write per row is one write(2) per row when stdout
-# is unbuffered or line-buffered.  Blocks of 4,096 rows raised bounded_search's peak RSS by
-# 1.1 MiB, blocks of 512 by 0.12 MiB
+# is unbuffered or line-buffered.  Against one write per row, blocks of 4,096 rows raised the
+# peak RSS of generate --bounded 22 by 0.35 MiB and blocks of 512 by less than 0.05 MiB
 _BLOCK = 512
 
 
@@ -62,6 +62,7 @@ def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIOBase
 
 
 def _write_rows(rows: Iterable[list[str]], sep: str, write) -> None:
+    """Each row as one sep-joined line, through write in blocks of at most _BLOCK lines."""
     lines = (sep.join(row) + "\n" for row in rows)
     while block := "".join(islice(lines, _BLOCK)):
         write(block)
@@ -179,9 +180,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 # --- generate ---------------------------------------------------------------
 
 # a csv or tsv table is written from two processes from this many rows of paper-text cells,
-# or of decimal cells, which cost a half to a fifth as much to make.  On a 2-vCPU guest two
-# processes lost up to 859 paper rows and won from 1,039; they lost at 3,119 and 4,010
-# decimal rows of --Q, tied at 4,739 and won from 5,198 (BENCH_33.json)
+# or of decimal cells, which cost a quarter to two fifths as much to make.  On a 2-vCPU
+# guest two processes lost up to 858 paper rows and won from 1,039; they lost at 3,118 and
+# 4,009 decimal rows of --Q, tied at 4,738 and won from 5,197 (BENCH_33.json)
 _FORK_ROWS, _FORK_ROWS_DECIMAL = 1000, 5000
 
 _Rows = Callable[[int, int], Iterator[list[str]]]

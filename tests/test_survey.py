@@ -600,14 +600,6 @@ def test_one_process_without_fork_a_second_cpu_or_a_quiet_process(forks, monkeyp
 def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, capsys, a_non_divisor):
     qs = range(5, 1505)
     wrong = survey.divisors_from_factors  # a_non_divisor's
-    # a table's one window ends with the non-divisor, in the child's half: one line, exit 2
-    errors = []
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        assert cli.main(["generate", "--bounded", "22", "--format", "tsv"]) == 2
-        errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] and errors[0].startswith("maksarum: not a right triangle: ")
-    assert len(forks) == 1
 
     def at_the_last_q(factors, lo=1, hi=None):  # which the child walks; c = 6*Q
         last = math.prod(p**e for p, e in factors.items()) == (6 * qs[-1]) ** 2
@@ -620,6 +612,15 @@ def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, cap
         with pytest.raises(ValueError) as raised:
             export(qs, 12, BAND_FULL, fp, width)
         assert type(raised.value) is ValueError and str(raised.value) == str(one_q.value)
+    assert len(forks) == 2
+    # a table's one window ends with the non-divisor, in the child's half: one line, exit 2
+    monkeypatch.setattr(survey, "divisors_from_factors", wrong)
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert cli.main(["generate", "--bounded", "22", "--format", "tsv"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("maksarum: not a right triangle: ")
     assert len(forks) == 3
 
 
@@ -646,19 +647,15 @@ class _FailsAfterAFork:
 
 
 @pytest.mark.parametrize("error", [KeyboardInterrupt(), OSError(28, "No space left on device")])
-def test_the_child_is_killed_and_reaped_when_this_process_fails(forks, monkeypatch, capsys, error):
+def test_the_child_is_killed_and_reaped_when_this_process_fails(forks, monkeypatch, error):
     with pytest.raises(type(error)) as raised:
         export(range(5, 1505), 12, BAND_FULL, _FailsAfterAFork(forks, error), 1.0)
     assert raised.value is error
     monkeypatch.setattr(sys, "stdout", _FailsAfterAFork(forks, error))  # a table's stdout
-    argv = ["generate", "--bounded", "22", "--format", "tsv"]
-    if isinstance(error, OSError):
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err == f"maksarum: {error}\n"
-    else:
-        with pytest.raises(type(error)) as raised:
-            cli.main(argv)
-        assert raised.value is error
+    args = cli.build_parser().parse_args(["generate", "--bounded", "22", "--format", "tsv"])
+    with pytest.raises(type(error)) as raised:
+        args.func(args)  # main would print an OSError
+    assert raised.value is error
     assert len(forks) == 2
 
 
