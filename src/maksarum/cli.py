@@ -37,19 +37,18 @@ gc.freeze()
 _BLOCK = 512
 
 
-def _emit(header: list[str], rows: Iterable[list[str]], fmt: str, fp: TextIOBase,
-          tail: Iterable[list[str]] | None = None) -> None:
-    """csv and tsv write the rows as they come, in blocks of at most _BLOCK rows, then the
-    rows of tail (unless None), which a forked child makes and writes (survey._two_processes).
-    The table holds every row for its widths, and takes no tail."""
+def _emit(header: list[str], rows: Iterable[list[str]] | _Rows, fmt: str, fp: TextIOBase,
+          count: int | None = None) -> None:
+    """csv and tsv write the rows as they come, in blocks of at most _BLOCK rows, or with count
+    given, rows(start, stop) of count rows in runs from two processes (survey._two_processes).
+    The table holds every row for its widths, and takes no count."""
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"
         fp.write(sep.join(header) + "\n")
-        if tail is None:
+        if count is None:
             _write_rows(rows, sep, fp.write)
         else:
-            survey._two_processes(lambda write: _write_rows(rows, sep, write),
-                                  lambda write: _write_rows(tail, sep, write), fp)
+            survey._two_processes(count, lambda i, j, write, acc: _write_rows(rows(i, j), sep, write), fp.write)
     else:
         rows = list(rows)
         widths = [
@@ -205,7 +204,7 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], int, _Rows]:
     sep = "" if decimal else " "
 
     def rows(start: int, stop: int) -> Iterator[list[str]]:
-        for _, x, y, a, _, d in survey._walk(q, b, k, csq, islice(us, start, stop)):
+        for _, x, y, a, _, d in survey._walk(q, b, k, csq, us[start:stop]):
             if a % r:
                 fourth = ""
             elif squared:
@@ -226,7 +225,7 @@ def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], in
     q, b, kk, csq, us = survey._bounded_window(m, k, x_range)  # checks M, K and the range
 
     def rows(start: int, stop: int) -> Iterator[list[str]]:
-        sides = enumerate(survey._walk(q, b, kk, csq, islice(us, start, stop)), start + 1)
+        sides = enumerate(survey._walk(q, b, kk, csq, us[start:stop]), start + 1)
         if not decimal:
             return ([str(place), paper_text(x, k), paper_text(y, k), paper_text(a, k), paper_text(d, k)]
                     for place, (_, x, y, a, _, d) in sides)
@@ -252,11 +251,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             hi = parse_number(args.xmax).value if args.xmax is not None else args.m
             x_range = (lo, hi)
         header, count, rows = _bounded_rows(args.bounded, args.m, x_range, args.decimal)
-    # the rows after split are made and written by a forked child
     least = _FORK_ROWS_DECIMAL if args.decimal else _FORK_ROWS
-    split = count // 2 if args.format != "table" and count >= least and survey._forkable() else count
+    forked = args.format != "table" and count >= least and survey._forkable()
     with _outputs(args.out) as (fp,):
-        _emit(header, rows(0, split), args.format, fp, rows(split, count) if split < count else None)
+        _emit(header, rows if forked else rows(0, count), args.format, fp, count if forked else None)
     return 0
 
 

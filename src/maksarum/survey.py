@@ -9,6 +9,7 @@ enters only in histogram binning and display columns.
 
 from __future__ import annotations
 
+import codecs
 import marshal
 import math
 import os
@@ -464,10 +465,11 @@ _PROBE_ROWS = 2000
 # so the first Qs' rate is low for a range from 1: at M = 12 the least that forks is 1..941,
 # with 40,820 rows (BENCH_27.json)
 _FORK_MIN_ROWS = 20_000
-# the parent's share of the Qs, below half because it also copies the child's rows
-_HEAD_SHARE = 0.47
-# characters per fp.write when the child's rows are copied: chunks of 1 MiB raised the
-# benchmark window's peak RSS by 3.7 MiB, chunks of 64 KiB by less than 0.1 MiB
+# the most runs _two_processes cuts its items into: claimed runs balance rows that grow with
+# Q, where a fixed split of the Qs gave the child 1.4 times the parent's rows (BENCH_34.json)
+_RUNS = 64
+# bytes per read when the child's rows are copied: chunks of 1 MiB raised the benchmark
+# window's peak RSS by 3.7 MiB, chunks of 64 KiB by less than 0.1 MiB
 _COPY = 1 << 16
 
 
@@ -479,18 +481,17 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIOBase | None,
 
     The first Qs are walked by this process until they have given _PROBE_ROWS rows
     before the band filter.  If the other Qs, at the same rows per Q, hold at least
-    _FORK_MIN_ROWS rows and _forkable(), those Qs are split in two by _two_processes: a
-    forked child walks the last 53% of them, with bin counts of its own, while this
-    process walks the first 47% into fp.  No Q is factorized twice.  A set with fewer
-    rows, or one Q however many rows it has, is walked by this process alone."""
+    _FORK_MIN_ROWS rows and _forkable(), _two_processes walks them in runs of Qs, this
+    process from the first and a forked child, with bins of its own, from the last.  No Q
+    is factorized twice.  A set with fewer rows, or one Q however many rows it has, is
+    walked by this process alone."""
     qs = q_set(q_values, m)
     keep = None if band == BAND_FULL else _band_test(band)
     if fp is None and bin_width_deg is None:
         return None
     counts = None if bin_width_deg is None else [0] * bin_count(bin_width_deg)
-    write = None
-    if fp is not None:
-        write = fp.write
+    write = None if fp is None else fp.write
+    if write is not None:
         write(CSV_HEADER + "\n")
     done = rows = 0
     while done < len(qs) and rows < _PROBE_ROWS:
@@ -498,15 +499,9 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIOBase | None,
         done += 1
     rest = qs[done:]
     if len(rest) > 1 and rows * len(rest) >= _FORK_MIN_ROWS * done and _forkable():
-        split = round(len(rest) * _HEAD_SHARE)
         zeros = None if counts is None else [0] * len(counts)  # the child counts its own bins
-
-        def tail(write):
-            _rows(rest[split:], m, keep, write, zeros, bin_width_deg)
-            return zeros
-
-        theirs = _two_processes(lambda write: _rows(rest[:split], m, keep, write, counts, bin_width_deg),
-                                tail, fp)
+        theirs = _two_processes(len(rest), lambda i, j, w, acc: _rows(rest[i:j], m, keep, w, acc, bin_width_deg),
+                                write, counts, zeros)
         if counts is not None:
             counts[:] = map(add, counts, theirs)
     else:
@@ -526,29 +521,36 @@ def _forkable() -> bool:
         return (os.cpu_count() or 1) > 1
 
 
-def _two_processes(head: Callable, tail: Callable, fp: TextIOBase | None):
-    """head(write) here and tail(write) in a forked child, and tail's result, which marshal
-    must take, returned here.  write is fp.write here and, in the child, the write of an
-    unlinked temporary file, whose text is copied to fp after head's in chunks of _COPY
-    characters; with fp None, write is None on both sides.  So the text keeps its order,
-    any text sink works and memory stays flat.  An exception of the child is raised here
-    with its class and text; the child is reaped before this returns or raises, and
-    killed first if this process fails."""
+def _two_processes(n: int, job: Callable, write: Callable | None, mine=None, theirs=None):
+    """job(i, j, write, acc) on the runs [i, j) of range(n), at most _RUNS: this process takes
+    them from the first up with mine, a forked child from the last down with theirs, which
+    is returned (marshal must take it).  Each claim reads one byte from a pipe holding one
+    per run, so no run is taken twice.  The child's runs reach write through an unlinked
+    temporary file, in ascending order and chunks of _COPY bytes.  The child's exception is
+    raised here; the child is reaped before this returns or raises, and killed if this fails."""
     import tempfile  # only a long export or table needs it
 
+    runs = min(n, _RUNS)
+    pairs = [(n * r // runs, n * (r + 1) // runs) for r in range(runs)]
     with ExitStack() as stack:
-        spill = None if fp is None else stack.enter_context(
-            tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+        spill = stack.enter_context(tempfile.TemporaryFile("w+b"))
+        spilled = None if write is None else lambda text: spill.write(text.encode())
+        readable, writable = os.pipe()
+        tokens = stack.enter_context(open(readable, "rb", buffering=0))
+        with open(writable, "wb", buffering=0) as fill:  # closed before the fork: EOF ends a claim
+            fill.write(bytes(runs))
+        claims = iter(lambda: tokens.read(1), b"")
         readable, writable = os.pipe()
         reply = stack.enter_context(open(readable, "rb"))
         try:
             pid = os.fork()
             if pid == 0:
-                _child(tail, spill, writable)
+                _child(job, zip(reversed(pairs), claims), spilled, spill, theirs, writable)
         finally:
             os.close(writable)
         try:
-            head(None if fp is None else fp.write)
+            for (i, j), _ in zip(pairs, claims):
+                job(i, j, write, mine)
             answer = reply.read()
         except BaseException:
             import signal
@@ -562,25 +564,29 @@ def _two_processes(head: Callable, tail: Callable, fp: TextIOBase | None):
         if answer[:1] != b"C":  # the child ended before it could answer
             raise ChildProcessError(
                 f"the second process ended with exit code {os.waitstatus_to_exitcode(status)}")
-        if spill is not None:
-            spill.seek(0)
-            while chunk := spill.read(_COPY):
-                fp.write(chunk)
-        return marshal.loads(answer[1:])
+        ends, theirs = marshal.loads(answer[1:])
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        for start, stop in reversed(list(zip([0, *ends], ends))):  # the child's runs, last first
+            spill.seek(start)
+            for at in range(start, stop, _COPY):  # none if write is None
+                write(decode(spill.read(min(_COPY, stop - at))))
+        return theirs
 
 
-def _child(job: Callable, spill: TextIOBase | None, writable: int):
-    """The forked child: job(spill.write), then b"C" and job's result, or b"E" and its
-    pickled exception, to the pipe.  It leaves by os._exit, which runs no cleanup of the
-    parent's and flushes none of its buffers, fp's and stdout's included."""
+def _child(job: Callable, claimed: Iterable, write: Callable | None, spill, acc, writable: int):
+    """The forked child: job on each claimed run, then b"C" and marshal of (spill's offset
+    after each run, acc), or b"E" and the pickled exception, to the pipe; then os._exit,
+    which runs no cleanup and flushes no buffer of the parent's."""
     status = 1
     try:
         with open(writable, "wb") as reply:
             try:
-                result = job(None if spill is None else spill.write)
-                if spill is not None:
-                    spill.flush()
-                answer = b"C" + marshal.dumps(result)
+                ends = []
+                for (i, j), _ in claimed:
+                    job(i, j, write, acc)
+                    ends.append(spill.tell())
+                spill.flush()
+                answer = b"C" + marshal.dumps((ends, acc))
             except BaseException as exc:
                 import pickle
                 answer = b"E" + pickle.dumps(exc)

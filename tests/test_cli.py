@@ -659,9 +659,9 @@ EXPORT = ["survey", "--Q-range", "1:1500"]
 TABLE = ["generate", "--bounded", "22", "--format", "tsv"]  # 2,021 rows, 376 kB
 
 
-# the reader closes after the header: before export forks, or while the table's first half
-# is written; or after 1 MiB, past the export's first Qs' 0.2 MB and so after its fork; or
-# after 300 kB, past the table's first half and so while the child's rows are copied
+# the reader closes after the header: before export forks, or while this process writes the
+# table's first runs; or after 1 MiB, past the export's first Qs' 0.2 MB and so after its
+# fork; or after 300 kB of the table's 376 kB, most likely while the child's runs are copied
 @pytest.mark.parametrize("argv, more, forked", [
     (EXPORT, 0, 0), (EXPORT, 1 << 20, 1), (TABLE, 0, 1), (TABLE, 300_000, 1),
 ], ids=["0-0", "1048576-1", "table-0-1", "table-300000-1"])

@@ -4,6 +4,7 @@ import os
 import sys
 import tempfile
 import threading
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -544,6 +545,79 @@ def test_two_process_export_into_a_file(forks, monkeypatch, tmp_path):
     assert path.read_text(encoding="utf-8") == want.getvalue()
 
 
+class _Steer:
+    """Steers the claims of one survey._two_processes call to an extreme: wrap(job) is the
+    run job for it.  At its first run each side says that it holds a run and waits until
+    the other side holds one too.  The side named by waits ("parent" or "child") then keeps
+    that run until the other side has written every item on its side of it, so the other
+    side takes every other run.  calls lists the runs [i, j) that this process wrote."""
+
+    def __init__(self, tmp_path, waits):
+        self.parent, self.waits, self.path, self.calls = os.getpid(), waits, tmp_path, []
+
+    def _put(self, name, text=""):  # atomic, so a reader never sees part of text
+        (self.path / f"{name}.tmp").write_text(text)
+        os.replace(self.path / f"{name}.tmp", self.path / name)
+
+    def _wait(self, name, text=""):
+        deadline = time.monotonic() + 60
+        while not ((self.path / name).exists() and (self.path / name).read_text() == text):
+            assert time.monotonic() < deadline, f"waited for {name} {text!r}"
+            time.sleep(0.001)
+
+    def wrap(self, job):
+        def steered(i, j, write, acc):
+            side, other = ("parent", "child") if os.getpid() == self.parent else ("child", "parent")
+            facing = str(j if side == "parent" else i)  # the end that meets the other side's runs
+            if not self.calls:
+                self._put(side + " holds one")
+                self._wait(other + " holds one")
+                if side == self.waits:
+                    self._wait(other, facing)
+            self.calls.append((i, j))
+            job(i, j, write, acc)
+            self._put(side, facing)
+
+        return steered
+
+
+def _numbers(i, j, write, acc):
+    """A run job: each item's number on a line of its own, and the items counted in acc."""
+    write("".join("%d\n" % k for k in range(i, j)))
+    acc[0] += j - i
+
+
+@pytest.mark.parametrize("waits", [None, "child", "parent"])
+@pytest.mark.parametrize("n", [5, survey._RUNS, 1000])
+def test_the_two_sides_claim_each_run_once(forks, tmp_path, n, waits):
+    steer = _Steer(tmp_path, waits)
+    out, mine = io.StringIO(), [0]
+    theirs = survey._two_processes(n, _numbers if waits is None else steer.wrap(_numbers), out.write, mine, [0])
+    assert out.getvalue() == "".join("%d\n" % k for k in range(n))
+    assert mine[0] + theirs[0] == n
+    runs = min(n, survey._RUNS)
+    if waits == "child":  # this process took every run but the last, which the child took first
+        assert len(steer.calls) == runs - 1 and steer.calls[0][0] == 0 and theirs[0] < n / runs + 1
+    elif waits == "parent":  # this process took run 0 alone
+        assert len(steer.calls) == 1 and steer.calls[0][0] == 0 and mine[0] == steer.calls[0][1]
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("waits", ["child", "parent"])
+def test_a_steered_export_adds_the_child_bins_once(forks, monkeypatch, tmp_path, waits):
+    qs, want_csv = range(5, 1505), io.StringIO()
+    with monkeypatch.context() as patch:
+        patch.setattr(survey, "_forkable", lambda: False)
+        want = export(qs, 12, BAND_FULL, want_csv, 1.0)
+    steer, two = _Steer(tmp_path, waits), survey._two_processes
+    monkeypatch.setattr(survey, "_two_processes", lambda n, job, *args: two(n, steer.wrap(job), *args))
+    got_csv = io.StringIO()
+    assert export(qs, 12, BAND_FULL, got_csv, 1.0) == want
+    assert got_csv.getvalue() == want_csv.getvalue()
+    assert len(steer.calls) == (survey._RUNS - 1 if waits == "child" else 1)
+    assert len(forks) == 1
+
+
 def test_the_export_forks_from_its_row_threshold(forks):
     # the first Qs give _PROBE_ROWS rows; the rest must hold _FORK_MIN_ROWS at their rate
     rows = done = 0
@@ -613,7 +687,7 @@ def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, cap
             export(qs, 12, BAND_FULL, fp, width)
         assert type(raised.value) is ValueError and str(raised.value) == str(one_q.value)
     assert len(forks) == 2
-    # a table's one window ends with the non-divisor, in the child's half: one line, exit 2
+    # a table's one window ends with the non-divisor, in the child's first run: one line, exit 2
     monkeypatch.setattr(survey, "divisors_from_factors", wrong)
     errors = []
     for cpus in ({0}, {0, 1}):
@@ -626,7 +700,7 @@ def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, cap
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_an_os_error_in_the_child_is_raised_here(forks, monkeypatch, capsys):
-    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: open("/dev/full", "w+"))
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: open("/dev/full", "w+b"))
     with pytest.raises(OSError) as raised:
         export(range(5, 1505), 12, BAND_FULL, io.StringIO(), None)
     assert type(raised.value) is OSError and str(raised.value) == "[Errno 28] No space left on device"
