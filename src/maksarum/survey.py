@@ -18,9 +18,9 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from io import TextIOBase
-from itertools import product
+from itertools import product, repeat
 from math import atan2, ceil, degrees, floor, gcd, isqrt, prod
-from operator import add
+from operator import add, floordiv
 
 from .factor import GeneratorSolution, Triple, angle_fraction, prime_to_60, reciprocal_square, solution
 # not called here; kept importable because perfbench/child.py wraps it by name
@@ -170,12 +170,45 @@ def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[GeneratorS
 
 # L per sieve segment: the segment's lists, not the Q range, set the memory
 _SEGMENT = 1 << 12
+# bytes.translate table that adds 1 to each byte
+_BUMP = bytes(range(1, 256)) + b"\0"
 
 
-def _range_legs(lo: int, hi: int) -> Iterator[tuple[int, int, bool, list[int]]]:
-    """(L, how many Q in lo..hi L divides, L in lo..hi, L's odd prime powers) for every
-    L in 1..hi that divides some Q in lo..hi, by a segmented sieve: memory stays flat."""
-    primes = [p for p in range(3, isqrt(hi) + 1, 2) if is_prime(p)]
+def _sieve_primes(hi: int) -> list[int]:
+    """The odd primes up to sqrt(hi): each L <= hi has at most one prime factor above."""
+    return [p for p in range(3, isqrt(hi) + 1, 2) if is_prime(p)]
+
+
+def _range_omega(lo: int, hi: int) -> Iterator[tuple[int, int, bool, int, None]]:
+    """(L, how many Q in lo..hi L divides, L in lo..hi, how many odd primes divide L, None)
+    for every L in 1..hi that divides some Q in lo..hi: _range_legs with no list per L.  Per
+    segment a bytearray counts the odd primes p with p*p < stop, bumped over each slice of
+    their multiples, and an int cofactor per L is divided by each power of them; what is
+    left is 2**i times one larger prime or 1."""
+    primes = _sieve_primes(hi)
+    for start in range(1, hi + 1, _SEGMENT):
+        stop = min(start + _SEGMENT, hi + 1)
+        odd = bytearray(stop - start)
+        rest = list(range(start, stop))
+        for p in primes:
+            if p * p >= stop:
+                break
+            at = -start % p
+            odd[at::p] = odd[at::p].translate(_BUMP)
+            pk = p
+            while pk < stop:
+                at = -start % pk
+                rest[at::pk] = map(floordiv, rest[at::pk], repeat(p))
+                pk *= p
+        for leg, count, left in zip(range(start, stop), odd, rest):
+            if mult := hi // leg - (lo - 1) // leg:
+                yield leg, mult, leg >= lo, count + (left & (left - 1) > 0), None
+
+
+def _range_legs(lo: int, hi: int) -> Iterator[tuple[int, int, bool, int, list[int]]]:
+    """_range_omega's (L, mult, member, odd prime count) and L's odd prime powers, for the
+    split walk, by a segmented sieve: memory stays flat."""
+    primes = _sieve_primes(hi)
     for start in range(1, hi + 1, _SEGMENT):
         stop = min(start + _SEGMENT, hi + 1)
         odd: list[list[int]] = [[] for _ in range(start, stop)]
@@ -193,10 +226,10 @@ def _range_legs(lo: int, hi: int) -> Iterator[tuple[int, int, bool, list[int]]]:
             if mult := hi // leg - (lo - 1) // leg:
                 if (rest := leg // ((leg & -leg) * prod(pps))) > 1:
                     pps.append(rest)
-                yield leg, mult, leg >= lo, pps
+                yield leg, mult, leg >= lo, len(pps), pps
 
 
-def _set_legs(qs: Sequence[int]) -> Iterator[tuple[int, int, bool, list[int]]]:
+def _set_legs(qs: Sequence[int]) -> Iterator[tuple[int, int, bool, int, list[int]]]:
     """_range_legs from the divisors of each Q, their prime powers read off Q's.  A range
     yields each L at its first multiple and counts the rest, so keeps no table."""
     ranged, lo, hi = isinstance(qs, range), qs[0], qs[-1]
@@ -209,9 +242,9 @@ def _set_legs(qs: Sequence[int]) -> Iterator[tuple[int, int, bool, list[int]]]:
             if not ranged:
                 found.setdefault(d, [0, pps])[0] += 1
             elif q - d < lo:  # q is d's first multiple in lo..hi
-                yield d, hi // d - (lo - 1) // d, d >= lo, pps
+                yield d, hi // d - (lo - 1) // d, d >= lo, len(pps), pps
     members = set(qs) if found else ()  # a range left no table
-    yield from ((leg, mult, leg in members, pps) for leg, (mult, pps) in found.items())
+    yield from ((leg, mult, leg in members, len(pps), pps) for leg, (mult, pps) in found.items())
 
 
 def _free_powers(factors: dict[int, int], twos: int, g: int, odd_leg: bool) -> list[list[int]]:
@@ -229,27 +262,31 @@ def _band_walk(lo: int, hi: int, m: int) -> tuple[int, int, int, int]:
     the tablet band, then their distinct counts, from the classes in the band alone.
 
     Those are Euclid's u > v >= 1, coprime and of opposite parity, with
-    sqrt 3 < u/v < 2 + sqrt 3; the b-leg b0 is the longer of u*u - v*v and
-    2*u*v, so the band test at 1 + sqrt 2, where they swap, is the sort.  The
-    class meets the Q that L = b0/gcd(b0, m) divides, so only b0 <= m*hi
-    counts, and b0 grows with u.  About m*hi/12 pairs, no table.
+    sqrt 3 < u/v < 2 + sqrt 3.  The b-leg b0 is 2*u*v while u <= v + isqrt(2*v*v)
+    (u/v < 1 + sqrt 2) and u*u - v*v past it, where the legs swap.  With a/b =
+    (u/v - v/u)/2 the tablet band 28/45 <= a/b <= 119/120 is 9/5 <= u/v <= 12/5
+    before the swap and 17/7 <= u/v <= 7/2 after it, read from integer bounds on u.
+    The class meets the Q that L = b0/gcd(b0, m) divides, so only b0 <= m*hi
+    counts, and b0 grows with u.  About m*hi/12 pairs, no table: 0.42 ms for 16..1515
+    at m = 12, about 1 s for 1..3*10**6.
     """
     top = m * hi
+    below = lo - 1
     band = p322 = distinct_band = distinct_p322 = 0
     v = 1
     # r = floor(sqrt 3 * v): u > sqrt 3 * v is u > r, and (u - 2v)**2 < 3*v*v is u <= 2v + r
     while 2 * v * ((r := isqrt(3 * v * v)) + 1) <= top:  # the least b0 of the band at this v
         stop = min(2 * v + r, top // (2 * v), isqrt(top + v * v))  # and b0 <= top
+        swap = v + isqrt(2 * v * v)  # 2*v*v is no square
+        low, high, low_swapped, high_swapped = -(-9 * v // 5), 12 * v // 5, -(-17 * v // 7), 7 * v // 2
         for u in range(r + 1 + ((r + v) & 1), stop + 1, 2):
             if gcd(u, v) == 1:
-                a, b = u * u - v * v, 2 * u * v
-                if a > b:
-                    a, b = b, a
+                b = 2 * u * v if u <= swap else u * u - v * v
                 leg = b // gcd(b, m)
-                if mult := hi // leg - (lo - 1) // leg:
+                if mult := hi // leg - below // leg:
                     band += mult
                     distinct_band += 1
-                    if _in_p322(a, b):
+                    if low <= u <= high or low_swapped <= u <= high_swapped:
                         p322 += mult
                         distinct_p322 += 1
         v += 1
@@ -268,37 +305,46 @@ def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
     (t*t - s*s, 2*s*t) or half of them, so with the same bands.  The one
     solution missing is x = 1: the split s = 1 of odd n = m*L at Q = L.
     A range wide enough for the sieve, at an m small next to its number of
-    divisors, counts the bands by _band_walk instead of by split.
+    divisors, counts the bands by _band_walk instead of by split, so it needs
+    only how many odd primes each L has: _range_omega, which builds no list per L.
+    On 16..1515 at m = 12 that took 1.4 ms in all, 0.45 ms of it the sieve.
     """
     qs = q_set(q_values, m)
-    # the sieve costs a step per L to HIGH, each Q's divisors about sqrt(HIGH)/4 (measured at 10**6)
-    sieve = isinstance(qs, range) and 4 * qs[-1] <= len(qs) * isqrt(qs[-1])
-    legs = _range_legs(qs[0], qs[-1]) if sieve else _set_legs(qs)
     factors = factorize(m)
+    # the sieve costs a step per L to HIGH, the divisors a factorization per Q.  On windows at
+    # HIGH = 10**6 (m = 1 and 12) the sieve took 1.0 to 4.0 times as long up to width 8000, tied
+    # at 12000 and took 0.5 to 0.97 of the time from 16000; at HIGH = 10**5 it lost up to width
+    # 1500 and took 0.2 to 0.95 from 2000.  Those ties put the constant near 12 and 5: 8 is between
+    sieve = isinstance(qs, range) and 8 * qs[-1] <= len(qs) * isqrt(qs[-1])
     # the split walk tests 1.5 to 4.5 splits per divisor of m per L, the band walk about
-    # m*HIGH/12 pairs.  Over 1..2000 the band walk took 0.25 to 0.71 of the split walk's time
-    # up to m = 20*tau(m), 0.56 to 1.01 from 26*tau(m) to 36*tau(m), and 2.1 times as long at
-    # m = 1001 (125*tau(m)).  A window holds fewer L than HIGH, at least its width, so it
-    # needs m*HIGH/width below the bound
-    bands = sieve and m * qs[-1] <= 24 * len(qs) * prod(e + 1 for e in factors.values())
+    # m*HIGH/12 pairs.  Over 1..2000 the band walk took 0.15 to 0.43 of the split walk's time
+    # up to m = 15*tau(m), 0.62 to 0.84 from 24*tau(m) to 40*tau(m), 0.70 to 1.44 from 41*tau(m)
+    # to 75*tau(m), and 1.7 times as long at m = 1001 (125*tau(m)).  A window holds fewer L than
+    # HIGH, at least its width, so it needs m*HIGH/width below the bound; on windows at HIGH =
+    # 10**6 (m = 1 and 12) the band walk took 0.5 to 1.0 of the time even at 100 to 200.  36
+    # keeps the band walk where it won at every m measured
+    bands = sieve and m * qs[-1] <= 36 * len(qs) * prod(e + 1 for e in factors.values())
+    legs = (_range_omega if bands else _range_legs)(qs[0], qs[-1]) if sieve else _set_legs(qs)
     twos = factors.pop(2, 0)
     powers = {p: p**e for p, e in factors.items()}  # m's odd prime powers
     radical = prod(powers)
-    free = {(g, odd_leg): _free_powers(factors, twos, g, odd_leg)
-            for g in divisors_from_factors(dict.fromkeys(powers, 1)) for odd_leg in (False, True)}
+    # g -> (for even L, for odd L)
+    free = {g: (_free_powers(factors, twos, g, False), _free_powers(factors, twos, g, True))
+            for g in divisors_from_factors(dict.fromkeys(powers, 1))}
     # N's classes double with each unitary part: the sum of 2**len(extra) over the choices, odd
     # for the empty one, so halving drops N = 1, which has no class
-    weight = {key: sum(1 << len(extra) for extra in extras) for key, extras in free.items()}
+    weight = {g: tuple(sum(1 << len(extra) for extra in extras) for extras in pair)
+              for g, pair in free.items()}
     total = band = p322 = distinct = distinct_band = distinct_p322 = 0
-    for leg, mult, member, pps in legs:
+    for leg, mult, member, odd, pps in legs:
         if (two := leg & -leg) == 2 and not twos:  # n = 2 (mod 4) for every g
             continue
         g = gcd(leg, radical)
         # the parts of N from L: its odd prime powers, and one of 2 for even L
-        count = (weight[g, two == 1] << (len(pps) + (two > 1))) >> 1
+        count = (weight[g][two == 1] << (odd + (two > 1))) >> 1
         total += mult * count
         distinct += count
-        if member and (m * leg) & 1 and m * leg > 1:  # x = 1: the split s = 1 of n = m*L at Q = L
+        if member and (n := m * leg) & 1 and n > 1:  # x = 1: the split s = 1 of n = m*L at Q = L
             total, distinct = total - 1, distinct - (mult == 1)  # still distinct if another Q has it
         if bands:
             continue
@@ -306,7 +352,7 @@ def count_stats(q_values: Iterable[int], m: int = 12) -> SurveyStats:
             pps = [pk * powers[p] if (p := gcd(pk, g)) > 1 else pk for pk in pps]
         if two > 1:
             pps = pps + [(two << twos) >> 1]
-        for extra in free[g, two == 1]:
+        for extra in free[g][two == 1]:
             if not (unitary := pps + extra):  # N = 1
                 continue
             big = prod(unitary)

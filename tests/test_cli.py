@@ -289,7 +289,8 @@ def test_survey_other_q_sets_report_without_the_divisor_walk(monkeypatch, capsys
 ])
 def test_survey_narrow_range_at_large_high_factors_each_q(monkeypatch, capsys, refuse, selector, first):
     # a sieve up to HIGH = 10**9 would take minutes; factoring two Q takes milliseconds
-    refuse(monkeypatch, "maksarum.survey._sides", "maksarum.survey._range_legs")  # the divisor walk and the sieve
+    # the divisor walk and both sieves
+    refuse(monkeypatch, "maksarum.survey._sides", "maksarum.survey._range_legs", "maksarum.survey._range_omega")
     code, out = run(capsys, "survey", "--Q-range", selector, "--report")
     assert code == 0
     assert out.splitlines()[0] == first

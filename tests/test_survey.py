@@ -70,17 +70,6 @@ def test_enumerate_matches_brute_force(q):
         assert mine == brute_force_triples(q, m), f"M = {m}"
 
 
-def test_all_records_are_valid_solutions():
-    for r in enumerate_solutions(range(1, 51)):
-        t = r.triple
-        assert r == solve_integer(r.x, r.q, r.m)
-        assert t.a**2 + t.b**2 == t.d**2
-        assert r.x * r.y == t.b**2
-        assert r.x < r.y and (r.y - r.x) % 2 == 0
-        assert t.a == (r.y - r.x) // 2 and t.d == (r.y + r.x) // 2
-        assert t.b == 12 * r.q
-
-
 @pytest.mark.parametrize("m", [1, 7, 12, 77])
 def test_enumerated_fourth_column_is_exact(m):
     qs = [*range(1, 61), 77, 121, 1125]  # Q = 7, 11, 13, ... and 77, 121 are irregular
@@ -310,15 +299,21 @@ def _stream_stats(qs, m):
 
 
 def _sorted_legs(legs):
-    """(L, mult, L in the set, L's odd prime powers) in L order, the powers ascending."""
-    return sorted((leg, mult, member, sorted(pps)) for leg, mult, member, pps in legs)
+    """(L, mult, L in the set, L's odd prime count, L's odd prime powers ascending) in L
+    order; the count is checked against the powers."""
+    out = sorted((leg, mult, member, odd, sorted(pps)) for leg, mult, member, odd, pps in legs)
+    assert all(odd == len(pps) for _, _, _, odd, pps in out)
+    return out
 
 
 def _legs_agree(lo, hi):
-    """The sieve, the range's divisors and the same Q as a list give the same L."""
+    """The list sieve, the range's divisors and the same Q as a list give the same L with the
+    same odd prime powers, and the byte sieve the same L with the same odd prime count."""
     sieved = _sorted_legs(survey._range_legs(lo, hi))
     qs = range(lo, hi + 1)
-    return sieved == _sorted_legs(survey._set_legs(qs)) == _sorted_legs(survey._set_legs(list(qs)))
+    counted = sorted(leg[:4] for leg in survey._range_omega(lo, hi))
+    return (sieved == _sorted_legs(survey._set_legs(qs)) == _sorted_legs(survey._set_legs(list(qs)))
+            and counted == [leg[:4] for leg in sieved])
 
 
 @pytest.mark.parametrize("m,lo,hi", [
@@ -360,20 +355,22 @@ def test_sieve_and_divisors_give_the_same_legs_at_random(lo, width):
 def test_count_stats_across_sieve_segments(monkeypatch, refuse, m):
     qs = range(survey._SEGMENT - 1000, survey._SEGMENT + 150)  # HIGH passes the first segment
     want = _stream_stats(qs, m)
-    assert _legs_agree(qs[0], qs[-1])
-    refuse(monkeypatch, "maksarum.survey._set_legs")  # the range is wide enough for the sieve
-    assert count_stats(qs, m) == want
-    monkeypatch.setattr(survey, "_SEGMENT", 7)  # shorter than most primes the sieve divides by
-    assert count_stats(qs, m) == want
+    for segment in (survey._SEGMENT, 7):  # 7 is shorter than most primes the sieve divides by
+        monkeypatch.setattr(survey, "_SEGMENT", segment)
+        assert _legs_agree(qs[0], qs[-1])
+        with pytest.MonkeyPatch.context() as mp:
+            refuse(mp, "maksarum.survey._set_legs")  # the range is wide enough for the sieve
+            assert count_stats(qs, m) == want
 
 
-# m*HIGH <= 24*width*tau(m) for every range drawn below, and never for the second set
+# every range drawn below has 8*HIGH <= width*isqrt(HIGH), and m*HIGH <= 36*width*tau(m)
+# for the first set and never for the second
 BAND_WALK_M = (1, 2, 7, 12, 60, 120, 210)
-SPLIT_WALK_M = (97, 250, 1001)
+SPLIT_WALK_M = (97, 500, 1001)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(st.sampled_from(BAND_WALK_M + SPLIT_WALK_M), st.integers(1, 100), st.integers(120, 500))
+@given(st.sampled_from(BAND_WALK_M + SPLIT_WALK_M), st.integers(1, 100), st.integers(130, 500))
 def test_both_band_counts_match_the_divisor_stream_at_random(refuse, m, lo, width):
     qs = range(lo, lo + width)
     want = _stream_stats(qs, m)
@@ -387,14 +384,16 @@ def test_both_band_counts_match_the_divisor_stream_at_random(refuse, m, lo, widt
 def test_band_walk_counts_the_benchmark_window(monkeypatch, refuse):
     qs = range(16, 1516)
     want = _stream_stats(qs, 12)
-    refuse(monkeypatch, "maksarum.survey._in_pi6_pi4")  # the split walk's band test
+    # the split walk's band test, and the sieve that builds a list of prime powers per L
+    refuse(monkeypatch, "maksarum.survey._in_pi6_pi4", "maksarum.survey._range_legs")
     assert count_stats(qs, 12) == want
 
 
 @pytest.mark.parametrize("qs,m", [
     ([1125], 12), (p322_q_set(), 12), (range(1000, 1101), 12), (range(1, 301), 1001),
-    (range(1, 41), 720720),
-], ids=["Q 1125", "Q-set p322", "narrow window", "M 1001", "M 720720"])
+    (range(1, 41), 720720), *(([7, 225, 288, 1125], m) for m in (1, 2, 3, 5, 60)),
+], ids=["Q 1125", "Q-set p322", "narrow window", "M 1001", "M 720720",
+        *(f"gap set M {m}" for m in (1, 2, 3, 5, 60))])
 def test_split_walk_counts_sets_windows_and_large_m(monkeypatch, refuse, qs, m):
     want = _stream_stats(qs, m)
     refuse(monkeypatch, "maksarum.survey._band_walk")
