@@ -202,7 +202,7 @@ def _range_omega(lo: int, hi: int) -> Iterator[tuple[int, int, bool, int, None]]
                 pk *= p
         for leg, count, left in zip(range(start, stop), odd, rest):
             if mult := hi // leg - (lo - 1) // leg:
-                yield leg, mult, leg >= lo, count + (left & (left - 1) > 0), None
+                yield leg, mult, leg >= lo, count + ((left & (left - 1)) > 0), None
 
 
 def _range_legs(lo: int, hi: int) -> Iterator[tuple[int, int, bool, int, list[int]]]:
