@@ -265,7 +265,8 @@ def _band_walk(lo: int, hi: int, m: int) -> tuple[int, int, int, int]:
     sqrt 3 < u/v < 2 + sqrt 3.  The b-leg b0 is 2*u*v while u <= v + isqrt(2*v*v)
     (u/v < 1 + sqrt 2) and u*u - v*v past it, where the legs swap.  With a/b =
     (u/v - v/u)/2 the tablet band 28/45 <= a/b <= 119/120 is 9/5 <= u/v <= 12/5
-    before the swap and 17/7 <= u/v <= 7/2 after it, read from integer bounds on u.
+    before the swap and 17/7 <= u/v <= 7/2 after it, read from integer bounds on u; the
+    edges 119/120 and 28/45 are the pairs (12, 5) and (7, 2).
     The class meets the Q that L = b0/gcd(b0, m) divides, so only b0 <= m*hi
     counts, and b0 grows with u.  About m*hi/12 pairs, no table: 0.42 ms for 16..1515
     at m = 12, about 1 s for 1..3*10**6.
