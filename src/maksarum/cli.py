@@ -38,19 +38,21 @@ _BLOCK = 512
 
 
 def _emit(header: list[str], rows: Iterable[list[str]] | _Rows, fmt: str, fp: TextIOBase,
-          count: int | None = None) -> None:
-    """csv and tsv write the rows as they come, in blocks of at most _BLOCK rows, or with count
-    given, rows(start, stop) of count rows in runs from two processes (survey._two_processes).
-    The table holds every row for its widths, and takes no count."""
+          count: int | None = None, least: int = 0) -> None:
+    """csv and tsv write the rows as they come, in blocks of at most _BLOCK rows.  With count
+    given, rows is rows(start, stop) of count rows, which survey._two_processes writes in runs,
+    from two processes once the runs left hold least rows.  The table holds every row for its
+    widths."""
     if fmt in ("csv", "tsv"):
         sep = "," if fmt == "csv" else "\t"
         fp.write(sep.join(header) + "\n")
         if count is None:
             _write_rows(rows, sep, fp.write)
         else:
-            survey._two_processes(count, lambda i, j, write, acc: _write_rows(rows(i, j), sep, write), fp.write)
+            survey._two_processes(count, lambda i, j, write, acc: _write_rows(rows(i, j), sep, write) or j - i,
+                                  fp.write, least)
     else:
-        rows = list(rows)
+        rows = list(rows if count is None else rows(0, count))
         widths = [
             max(len(header[i]), max((len(r[i]) for r in rows), default=0))
             for i in range(len(header))
@@ -178,10 +180,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 # --- generate ---------------------------------------------------------------
 
-# a csv or tsv table is written from two processes from this many rows of paper-text cells,
-# or of decimal cells, which cost a quarter to two fifths as much to make.  On a 2-vCPU
-# guest two processes lost up to 858 paper rows and won from 1,039; they lost at 3,118 and
-# 4,009 decimal rows of --Q, tied at 4,738 and won from 5,197 (BENCH_33.json)
+# the least rows of paper-text cells, or of decimal cells, which cost a quarter to two fifths as
+# much to make, that a csv or tsv table's runs left must hold for survey._two_processes to fork.
+# On a 2-vCPU guest two processes lost up to 858 paper rows and won from 1,039; they lost at
+# 3,118 and 4,009 decimal rows of --Q, tied at 4,738 and won from 5,197 (BENCH_33.json)
 _FORK_ROWS, _FORK_ROWS_DECIMAL = 1000, 5000
 
 _Rows = Callable[[int, int], Iterator[list[str]]]
@@ -204,7 +206,7 @@ def _qtable_rows(q: int, m: int, decimal: bool) -> tuple[list[str], int, _Rows]:
     sep = "" if decimal else " "
 
     def rows(start: int, stop: int) -> Iterator[list[str]]:
-        for _, x, y, a, _, d in survey._walk(q, b, k, csq, us[start:stop]):
+        for x, y, a, d in survey._walk(b, k, csq, us[start:stop]):
             if a % r:
                 fourth = ""
             elif squared:
@@ -222,15 +224,15 @@ def _bounded_rows(k: int, m: int, x_range, decimal: bool) -> tuple[list[str], in
     """As _qtable_rows for the pairs within k fractional digits; places count from 1 at the
     table's first row, wherever rows starts."""
     # each pair is (x, y) / 60**k for an integer solution (x, y, a, b, d) at Q = 60**k
-    q, b, kk, csq, us = survey._bounded_window(m, k, x_range)  # checks M, K and the range
+    b, kk, csq, us = survey._bounded_window(m, k, x_range)  # checks M, K and the range
 
     def rows(start: int, stop: int) -> Iterator[list[str]]:
-        sides = enumerate(survey._walk(q, b, kk, csq, us[start:stop]), start + 1)
+        sides = enumerate(survey._walk(b, kk, csq, us[start:stop]), start + 1)
         if not decimal:
             return ([str(place), paper_text(x, k), paper_text(y, k), paper_text(a, k), paper_text(d, k)]
-                    for place, (_, x, y, a, _, d) in sides)
+                    for place, (x, y, a, d) in sides)
         return ([str(place), str(b // g), str(d // g), str(a // g), f"{(a // g) ** 2 / (b // g) ** 2:.15g}"]
-                for place, (_, _, _, a, b, d) in sides
+                for place, (_, _, a, d) in sides
                 for g in [gcd(a, b)])  # divides d too
 
     header = ["place", "b", "d", "a", "ratio"] if decimal else ["place", "X", "Y", "A", "D"]
@@ -251,10 +253,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             hi = parse_number(args.xmax).value if args.xmax is not None else args.m
             x_range = (lo, hi)
         header, count, rows = _bounded_rows(args.bounded, args.m, x_range, args.decimal)
-    least = _FORK_ROWS_DECIMAL if args.decimal else _FORK_ROWS
-    forked = args.format != "table" and count >= least and survey._forkable()
     with _outputs(args.out) as (fp,):
-        _emit(header, rows if forked else rows(0, count), args.format, fp, count if forked else None)
+        _emit(header, rows, args.format, fp, count, _FORK_ROWS_DECIMAL if args.decimal else _FORK_ROWS)
     return 0
 
 

@@ -120,7 +120,7 @@ def enumerate_bounded(
     """
     sides = survey._walk(*survey._bounded_window(m, max_frac_digits, x_range))
     scale = 60**max_frac_digits
-    return [GeneratorPair(Fraction(x, scale), Fraction(y, scale), m) for _, x, y, *_ in sides]
+    return [GeneratorPair(Fraction(x, scale), Fraction(y, scale), m) for x, y, _, _ in sides]
 
 
 def partition_table(m: int = 12) -> list[tuple[int | None, GeneratorPair, Fraction, Fraction]]:

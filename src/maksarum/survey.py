@@ -111,22 +111,8 @@ def _window(b: int, lo: int = 2, hi: int | None = None) -> tuple[int, int, list[
                                            -(-lo // k), c if hi is None else -(-hi // k))
 
 
-def _sides(
-    qs: Iterable[int], m: int, lo: int = 2, hi: int | None = None
-) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """(q, x, y, a, b, d) for every solution over the checked scale generators, in
-    (Q, x) order: b = m*Q and x from _window(b, lo, hi), as _walk gives them.  export
-    walks the same window in a loop of its own, which spares it a generator resume per
-    row."""
-    for q in qs:
-        b = m * q
-        yield from _walk(q, b, *_window(b, lo, hi))
-
-
-def _walk(
-    q: int, b: int, k: int, csq: int, us: Iterable[int]
-) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """(q, x, y, a, b, d) for each u of a _window (k, csq, us) of b = m*Q: x = k*u,
+def _walk(b: int, k: int, csq: int, us: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(x, y, a, d) for each u of a _window (k, csq, us) of b = m*Q, in the order of us: x = k*u,
     y = b**2/x, a = (y - x)/2 and d = (y + x)/2, each checked to be a right triangle."""
     bsq = b * b
     for u in us:
@@ -134,13 +120,13 @@ def _walk(
         a, d = (y - x) // 2, (y + x) // 2
         if a * a + bsq != d * d:
             raise ValueError(f"not a right triangle: {a}^2 + {b}^2 != {d}^2")
-        yield q, x, y, a, b, d
+        yield x, y, a, d
 
 
 def _bounded_window(
     m: int, max_frac_digits: int, x_range: tuple[Fraction, Fraction] | None
-) -> tuple[int, int, int, int, list[int]]:
-    """(q, b, k, csq, us) for _walk: the _window at Q = 60**max_frac_digits of the pairs
+) -> tuple[int, int, int, list[int]]:
+    """(b, k, csq, us) for _walk: the _window at Q = 60**max_frac_digits of the pairs
     within the digit budget; each pair is (x, y) / 60**max_frac_digits.  M, the budget
     and the X range are checked here, before any pair is made."""
     if m < 1:
@@ -158,14 +144,17 @@ def _bounded_window(
         if xmin > xmax:
             raise ValueError(f"empty X range: Xmin {xmin} is above Xmax {xmax}")
         lo, hi = max(lo, ceil(xmin * scale)), min(hi, floor(xmax * scale) + 1)
-    return scale, b, *_window(b, lo, hi)
+    return b, *_window(b, lo, hi)
 
 
 def enumerate_solutions(q_values: Iterable[int], m: int = 12) -> list[GeneratorSolution]:
     """All solutions for the given scale generators, ordered by (Q, x)."""
-    qs = q_set(q_values, m)
-    r = {q: prime_to_60(m * q) for q in qs}  # once per Q
-    return [solution(q, x, y, a, b, d, m, r[q]) for q, x, y, a, b, d in _sides(qs, m)]
+    out = []
+    for q in q_set(q_values, m):
+        b = m * q
+        r = prime_to_60(b)
+        out += [solution(q, x, y, a, b, d, m, r) for x, y, a, d in _walk(b, *_window(b))]
+    return out
 
 
 # L per sieve segment: the segment's lists, not the Q range, set the memory
@@ -503,14 +492,12 @@ def write_records_csv(solutions: Iterable[GeneratorSolution], fp: TextIOBase) ->
 # rows per fp.write in export: with one write per Q, survey --Q 200560490130 --out
 # (246,037 rows of 138 bytes) peaked at 145 MiB against 31 MiB; a block takes 1.3 MB
 _BLOCK = 4096
-# export walks its first Qs in one process until they have given this many rows before the
-# band filter, and forks for the rest only if, at their rate, the rest holds _FORK_MIN_ROWS
-_PROBE_ROWS = 2000
-# on a 2-vCPU guest a fork, its spill file and the copy took about 3 ms.  With the histogram
-# alone or the p322 band (about 0.8 us a row at small Q) the fork lost at 10,000 rows and won
-# at 40,000; with the whole CSV (about 4 us a row) it won from 10,000.  Rows per Q grow with Q,
-# so the first Qs' rate is low for a range from 1: at M = 12 the least that forks is 1..941,
-# with 40,820 rows (BENCH_27.json)
+# the least rows an export's runs left must hold, at the rows per run walked so far, for
+# _two_processes to fork.  On a 2-vCPU guest a fork, its spill file and the copy took about
+# 3 ms.  With the histogram alone or the p322 band (about 0.8 us a row at small Q) the fork lost
+# at 10,000 rows and won at 40,000; with the whole CSV (about 4 us a row) it won from 10,000
+# (BENCH_27.json).  Rows per Q grow with Q, so the first runs' rate is low for a range from 1:
+# at M = 12 the least that forks is 1..869, with 36,998 rows
 _FORK_MIN_ROWS = 20_000
 # the most runs _two_processes cuts its items into: claimed runs balance rows that grow with
 # Q, where a fixed split of the Qs gave the child 1.4 times the parent's rows (BENCH_34.json)
@@ -526,12 +513,9 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIOBase | None,
     is None) of band_filter(enumerate_solutions(q_values, m), band), in one loop per Q
     that builds no solution (_rows).
 
-    The first Qs are walked by this process until they have given _PROBE_ROWS rows
-    before the band filter.  If the other Qs, at the same rows per Q, hold at least
-    _FORK_MIN_ROWS rows and _forkable(), _two_processes walks them in runs of Qs, this
-    process from the first and a forked child, with bins of its own, from the last.  No Q
-    is factorized twice.  A set with fewer rows, or one Q however many rows it has, is
-    walked by this process alone."""
+    _two_processes walks the Qs in runs, and forks for the rest once they hold
+    _FORK_MIN_ROWS rows before the band filter at the rate of the runs so far; a forked
+    child counts bins of its own, added here.  No Q is factorized twice."""
     qs = q_set(q_values, m)
     keep = None if band == BAND_FULL else _band_test(band)
     if fp is None and bin_width_deg is None:
@@ -540,20 +524,9 @@ def export(q_values: Iterable[int], m: int, band: str, fp: TextIOBase | None,
     write = None if fp is None else fp.write
     if write is not None:
         write(CSV_HEADER + "\n")
-    done = rows = 0
-    while done < len(qs) and rows < _PROBE_ROWS:
-        rows += _rows(qs[done:done + 1], m, keep, write, counts, bin_width_deg)
-        done += 1
-    rest = qs[done:]
-    if len(rest) > 1 and rows * len(rest) >= _FORK_MIN_ROWS * done and _forkable():
-        zeros = None if counts is None else [0] * len(counts)  # the child counts its own bins
-        theirs = _two_processes(len(rest), lambda i, j, w, acc: _rows(rest[i:j], m, keep, w, acc, bin_width_deg),
-                                write, counts, zeros)
-        if counts is not None:
-            counts[:] = map(add, counts, theirs)
-    else:
-        _rows(rest, m, keep, write, counts, bin_width_deg)
-    return None if counts is None else _binned(counts, bin_width_deg)
+    theirs = _two_processes(len(qs), lambda i, j, w, acc: _rows(qs[i:j], m, keep, w, acc, bin_width_deg),
+                            write, _FORK_MIN_ROWS, counts, None if counts is None else [0] * len(counts))
+    return None if counts is None else _binned(list(map(add, counts, theirs)), bin_width_deg)
 
 
 def _forkable() -> bool:
@@ -568,24 +541,40 @@ def _forkable() -> bool:
         return (os.cpu_count() or 1) > 1
 
 
-def _two_processes(n: int, job: Callable, write: Callable | None, mine=None, theirs=None):
-    """job(i, j, write, acc) on the runs [i, j) of range(n), at most _RUNS: this process takes
-    them from the first up with mine, a forked child from the last down with theirs, which
-    is returned (marshal must take it).  Each claim reads one byte from a pipe holding one
-    per run, so no run is taken twice.  The child's runs reach write through an unlinked
-    temporary file, in ascending order and chunks of _COPY bytes.  The child's exception is
-    raised here; the child is reaped before this returns or raises, and killed if this fails."""
-    import tempfile  # only a long export or table needs it
+def _two_processes(n: int, job: Callable, write: Callable | None, least: int, mine=None, theirs=None):
+    """job(i, j, write, acc) on the runs [i, j) of range(n), at most _RUNS; job returns the rows
+    it walked.  This process takes the runs from the first up with mine.  After each run, with
+    two runs or more left, it forks if at the rate of the runs done the runs left hold least
+    rows: a forked child takes them from the last down with theirs, which is returned (marshal
+    must take it).  theirs comes back untouched if this process walks every run.  With fewer
+    than 3 runs or no _forkable() this process makes one call, job(0, n, write, mine).
 
+    Each claim after the fork reads one byte from a pipe holding one per run left, so no run
+    is taken twice.  The child's runs reach write through an unlinked temporary file, in
+    ascending order and chunks of _COPY bytes.  The child's exception is raised here; the
+    child is reaped before this returns or raises, and killed if this fails."""
     runs = min(n, _RUNS)
+    if runs < 3 or not _forkable():
+        job(0, n, write, mine)
+        return theirs
     pairs = [(n * r // runs, n * (r + 1) // runs) for r in range(runs)]
+    rows = 0
+    for done, (i, j) in enumerate(pairs, 1):
+        rows += job(i, j, write, mine)
+        if runs - done >= 2 and rows * (runs - done) >= least * done:
+            break
+    else:
+        return theirs
+    pairs = pairs[done:]
+    import tempfile  # only a forked export or table needs it
+
     with ExitStack() as stack:
         spill = stack.enter_context(tempfile.TemporaryFile("w+b"))
         spilled = None if write is None else lambda text: spill.write(text.encode())
         readable, writable = os.pipe()
         tokens = stack.enter_context(open(readable, "rb", buffering=0))
         with open(writable, "wb", buffering=0) as fill:  # closed before the fork: EOF ends a claim
-            fill.write(bytes(runs))
+            fill.write(bytes(len(pairs)))
         claims = iter(lambda: tokens.read(1), b"")
         readable, writable = os.pipe()
         reply = stack.enter_context(open(readable, "rb"))
@@ -646,12 +635,13 @@ def _child(job: Callable, claimed: Iterable, write: Callable | None, spill, acc,
 def _rows(qs: Iterable[int], m: int, keep, write, counts: list[int] | None,
           width: float | None) -> int:
     """export's loop: each row of the Qs to write (unless None) and each angle into counts
-    (unless None); it returns the number of rows before the band filter.  It walks the
-    same _window as _sides, with the same right-angle check.  Each Q's rows come from
-    two templates built once for that Q, one for each form of the fourth column, and are
-    written in blocks of at most _BLOCK rows.  With r the part of b = m*Q prime to 60,
-    the primitive leg pb = b/gcd(a, b) is regular iff r divides a, and the fourth column
-    of a regular pb comes from the bounded cache of factor.reciprocal_square."""
+    (unless None); it returns the number of rows before the band filter.  It walks each Q's
+    _window as _walk does, with the same right-angle check, in a loop of its own that spares
+    a generator resume per row.  Each Q's rows come from two templates built once for that
+    Q, one for each form of the fourth column, and are written in blocks of at most _BLOCK
+    rows.  With r the part of b = m*Q prime to 60, the primitive leg pb = b/gcd(a, b) is
+    regular iff r divides a, and the fourth column of a regular pb comes from the bounded
+    cache of factor.reciprocal_square."""
     binned = counts is not None
     last = len(counts) - 1 if binned else 0
     walked = 0

@@ -22,7 +22,7 @@ def a_non_divisor(monkeypatch):
 @pytest.fixture(scope="session")
 def refuse():
     """refuse(patch, *targets): through the MonkeyPatch patch, each dotted target (say
-    "maksarum.survey._sides") fails the test when it is called.  Session-scoped, so that a
+    "maksarum.survey._window") fails the test when it is called.  Session-scoped, so that a
     hypothesis test can pass a MonkeyPatch of its own for each example."""
 
     def refused(target):

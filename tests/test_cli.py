@@ -243,8 +243,8 @@ def test_survey_export_builds_no_records(tmp_path, monkeypatch, capsys, refuse):
 
 
 def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys, refuse):
-    # _sides is the divisor walk; a wide range takes its L from the sieve, not _set_legs
-    refuse(monkeypatch, "maksarum.survey._sides", "maksarum.survey._set_legs")
+    # _window lists the divisor walk's window; a wide range takes its L from the sieve, not _set_legs
+    refuse(monkeypatch, "maksarum.survey._window", "maksarum.survey._set_legs")
     code, out = run(capsys, "survey", "--Q-range", "1:1500", "--report")
     assert code == 0
     assert out.splitlines()[0] == "71983 4495 4143 / 14267 504 437"
@@ -277,7 +277,7 @@ def test_survey_wide_range_report_walks_no_divisors(monkeypatch, capsys, refuse)
 def test_survey_other_q_sets_report_without_the_divisor_walk(monkeypatch, capsys, refuse, selector, report):
     # from the divisors L of the Q (factored per Q, or sieved for a range),
     # never from the divisors of (M*Q)**2
-    refuse(monkeypatch, "maksarum.survey._sides")
+    refuse(monkeypatch, "maksarum.survey._window")
     code, out = run(capsys, "survey", *selector, "--report")
     assert code == 0
     assert out.splitlines() == report
@@ -290,7 +290,7 @@ def test_survey_other_q_sets_report_without_the_divisor_walk(monkeypatch, capsys
 def test_survey_narrow_range_at_large_high_factors_each_q(monkeypatch, capsys, refuse, selector, first):
     # a sieve up to HIGH = 10**9 would take minutes; factoring two Q takes milliseconds
     # the divisor walk and both sieves
-    refuse(monkeypatch, "maksarum.survey._sides", "maksarum.survey._range_legs", "maksarum.survey._range_omega")
+    refuse(monkeypatch, "maksarum.survey._window", "maksarum.survey._range_legs", "maksarum.survey._range_omega")
     code, out = run(capsys, "survey", "--Q-range", selector, "--report")
     assert code == 0
     assert out.splitlines()[0] == first
@@ -656,16 +656,17 @@ def _forked(*args, **kwargs):
     return subprocess.Popen([sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, **kwargs)
 
 
-EXPORT = ["survey", "--Q-range", "1:1500"]
+EXPORT = ["survey", "--Q-range", "1:900"]  # forks after 126 Qs, 3,309 rows and 0.2 MB
 TABLE = ["generate", "--bounded", "22", "--format", "tsv"]  # 2,021 rows, 376 kB
 
 
-# the reader closes after the header: before export forks, or while this process writes the
-# table's first runs; or after 1 MiB, past the export's first Qs' 0.2 MB and so after its
-# fork; or after 300 kB of the table's 376 kB, most likely while the child's runs are copied
+# the reader closes after the header, before the export forks, since its first runs fill the
+# pipe; or after 8 kB, past the table's first run of 31 rows (5.8 kB) and so after its fork; or
+# after 1 MiB, past the export's fork; or after 300 kB of the table's 376 kB, most likely while
+# the child's runs are copied
 @pytest.mark.parametrize("argv, more, forked", [
-    (EXPORT, 0, 0), (EXPORT, 1 << 20, 1), (TABLE, 0, 1), (TABLE, 300_000, 1),
-], ids=["0-0", "1048576-1", "table-0-1", "table-300000-1"])
+    (EXPORT, 0, 0), (EXPORT, 1 << 20, 1), (TABLE, 8192, 1), (TABLE, 300_000, 1),
+], ids=["0-0", "1048576-1", "table-8192-1", "table-300000-1"])
 def test_a_reader_that_closes_early_ends_the_export_quietly(argv, more, forked):
     proc = _forked("-c", FORKED, *argv, "--out", "-", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     header = survey.CSV_HEADER if argv == EXPORT else "place\tX\tY\tA\tD"
@@ -705,8 +706,12 @@ def test_a_long_table_is_written_from_two_processes(forks, monkeypatch, capsys, 
     code, out = run(capsys, *argv)
     assert code == 0 and len(forks) == forked
     rows, table = out.count("\n") - 1, "--format" not in argv
-    # one row short of the threshold, at it, and at it with one CPU: the same bytes
-    for rule, cpus, more in [(rows + 1, {0, 1}, 0), (rows, {0, 1}, 0 if table else 1), (rows, {0}, 0)]:
+    # the greatest least that forks: after some run d, with two runs or more left, the runs
+    # left hold it at the rate of the first d.  One row above it, at it, and at it with one
+    # CPU: the same bytes
+    runs = min(rows, survey._RUNS)
+    top = max(rows * d // runs * (runs - d) // d for d in range(1, runs - 1))
+    for rule, cpus, more in [(top + 1, {0, 1}, 0), (top, {0, 1}, 0 if table else 1), (top, {0}, 0)]:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         monkeypatch.setattr(cli, "_FORK_ROWS_DECIMAL" if "--decimal" in argv else "_FORK_ROWS", rule)
         assert run(capsys, *argv) == (0, out)

@@ -20,8 +20,9 @@ from maksarum.survey import (
     BAND_PI6_PI4,
     CSV_HEADER,
     SurveyStats,
-    _sides,
     _tally,
+    _walk,
+    _window,
     band_filter,
     bin_count,
     count_stats,
@@ -282,20 +283,20 @@ def test_windowed_sides_match_sympy(q, m):
         windows["odd ends just past a divisor"] = (mid + 1 + mid % 2, b - 1 + b % 2)
     for name, (lo, hi) in windows.items():
         want = [
-            (q, x, b * b // x, (b * b // x - x) // 2, b, (b * b // x + x) // 2)
+            (x, b * b // x, (b * b // x - x) // 2, (b * b // x + x) // 2)
             for x in divisors
             if lo <= x < hi and (b * b // x - x) % 2 == 0
         ]
-        got = list(_sides([q], m, lo, hi))
+        got = list(_walk(b, *_window(b, lo, hi)))
         assert got == want, name
-        for _, x, y, *_ in got:  # the walk builds only these: no branch filters parity
+        for x, y, *_ in got:  # the walk builds only these: no branch filters parity
             assert x * y == b * b and x % 2 == y % 2, name
-    assert list(_sides([q], m)) == list(_sides([q], m, 2, b))
+    assert _window(b) == _window(b, 2, b)
 
 
 def _stream_stats(qs, m):
     """The oracle: the legs of every solution from the divisor walk, tallied."""
-    return _tally((a, b) for _, _, _, a, b, _ in _sides(q_set(qs, m), m))
+    return _tally((a, m * q) for q in q_set(qs, m) for _, _, a, _ in _walk(m * q, *_window(m * q)))
 
 
 def _sorted_legs(legs):
@@ -328,7 +329,7 @@ def test_class_counts_match_the_divisor_stream(monkeypatch, refuse, m, lo, hi):
     # split s = 1 of n = M*L) at Q = L; every source of L agrees on the range
     assert _legs_agree(lo, hi)
     want = _stream_stats(range(lo, hi + 1), m)
-    refuse(monkeypatch, "maksarum.survey._sides")  # the divisor walk
+    refuse(monkeypatch, "maksarum.survey._window")  # the divisor walk
     assert count_stats(range(lo, hi + 1), m) == want
     assert count_stats(list(range(lo, hi + 1)), m) == want
 
@@ -480,7 +481,7 @@ def test_both_walks_check_each_right_angle(a_non_divisor):
     # Q = 5: b = 60, and u = 7 gives (121, 60, 135)
     wrong = r"not a right triangle: 121\^2 \+ 60\^2 != 135\^2"
     with pytest.raises(ValueError, match=wrong):
-        list(_sides([5], 12))
+        enumerate_solutions([5], 12)
     with pytest.raises(ValueError, match=wrong):
         export([5], 12, BAND_FULL, io.StringIO(), None)
     with pytest.raises(ValueError, match=wrong):
@@ -545,14 +546,16 @@ def test_two_process_export_into_a_file(forks, monkeypatch, tmp_path):
 
 
 class _Steer:
-    """Steers the claims of one survey._two_processes call to an extreme: wrap(job) is the
-    run job for it.  At its first run each side says that it holds a run and waits until
-    the other side holds one too.  The side named by waits ("parent" or "child") then keeps
-    that run until the other side has written every item on its side of it, so the other
-    side takes every other run.  calls lists the runs [i, j) that this process wrote."""
+    """Steers the claims of one forked survey._two_processes call to an extreme: wrap(job) is
+    the run job for it, and forks is the forks fixture's list.  At its first run after the fork
+    each side says that it holds a run and waits until the other side holds one too.  The side
+    named by waits ("parent" or "child") then keeps that run until the other side has written
+    every item on its side of it, so the other side takes every other run.  calls lists the
+    runs [i, j) that this process wrote, those before the fork too."""
 
-    def __init__(self, tmp_path, waits):
-        self.parent, self.waits, self.path, self.calls = os.getpid(), waits, tmp_path, []
+    def __init__(self, tmp_path, waits, forks):
+        self.parent, self.waits, self.path, self.forks, self.calls = os.getpid(), waits, tmp_path, forks, []
+        self.held = False
 
     def _put(self, name, text=""):  # atomic, so a reader never sees part of text
         (self.path / f"{name}.tmp").write_text(text)
@@ -568,38 +571,78 @@ class _Steer:
         def steered(i, j, write, acc):
             side, other = ("parent", "child") if os.getpid() == self.parent else ("child", "parent")
             facing = str(j if side == "parent" else i)  # the end that meets the other side's runs
-            if not self.calls:
+            if self.forks and not self.held:
+                self.held = True
                 self._put(side + " holds one")
                 self._wait(other + " holds one")
                 if side == self.waits:
                     self._wait(other, facing)
             self.calls.append((i, j))
-            job(i, j, write, acc)
+            rows = job(i, j, write, acc)
             self._put(side, facing)
+            return rows
 
         return steered
 
 
 def _numbers(i, j, write, acc):
-    """A run job: each item's number on a line of its own, and the items counted in acc."""
+    """A run job: each item's number on a line of its own, and the items counted in acc and
+    returned as its rows."""
     write("".join("%d\n" % k for k in range(i, j)))
     acc[0] += j - i
+    return j - i
 
 
 @pytest.mark.parametrize("waits", [None, "child", "parent"])
 @pytest.mark.parametrize("n", [5, survey._RUNS, 1000])
 def test_the_two_sides_claim_each_run_once(forks, tmp_path, n, waits):
-    steer = _Steer(tmp_path, waits)
+    steer = _Steer(tmp_path, waits, forks)
     out, mine = io.StringIO(), [0]
-    theirs = survey._two_processes(n, _numbers if waits is None else steer.wrap(_numbers), out.write, mine, [0])
+    # least 0: the fork comes after the first run
+    theirs = survey._two_processes(n, _numbers if waits is None else steer.wrap(_numbers), out.write, 0, mine, [0])
     assert out.getvalue() == "".join("%d\n" % k for k in range(n))
     assert mine[0] + theirs[0] == n
     runs = min(n, survey._RUNS)
     if waits == "child":  # this process took every run but the last, which the child took first
         assert len(steer.calls) == runs - 1 and steer.calls[0][0] == 0 and theirs[0] < n / runs + 1
-    elif waits == "parent":  # this process took run 0 alone
-        assert len(steer.calls) == 1 and steer.calls[0][0] == 0 and mine[0] == steer.calls[0][1]
+    elif waits == "parent":  # this process took run 0 before the fork, then run 1 alone
+        assert len(steer.calls) == 2 and steer.calls[0][0] == 0 and mine[0] == steer.calls[1][1]
     assert len(forks) == 1
+
+
+def _weighted(weights, calls, forks):
+    """_numbers with weights[k] rows for item k, listing in calls each run [i, j) that this
+    process walks with the number of forks made before it."""
+    def job(i, j, write, acc):
+        calls.append((i, j, len(forks)))
+        _numbers(i, j, write, acc)
+        return sum(weights[i:j])
+
+    return job
+
+
+@pytest.mark.parametrize("weights, least, cpus, walked", [
+    (range(64), 230, {0, 1}, 10),  # 64 runs of one item: (d - 1) * (64 - d) / 2 >= 230 first at d = 10
+    (range(64), 500, {0, 1}, None),  # (d - 1) * (64 - d) / 2 is at most 496
+    ([0, 0, 3, 0], 1, {0, 1}, None),  # the rate holds only with one run left
+    ([0, 0, 0], 0, {0, 1}, 1),  # the fewest runs that fork
+    ([0, 0], 0, {0, 1}, None),
+    (range(64), 0, {0}, None),
+], ids=["rate", "below_least", "one_run_left", "three_runs", "two_runs", "one_cpu"])
+def test_two_processes_forks_after_the_first_run_whose_rate_holds_least(forks, monkeypatch, weights, least, cpus,
+                                                                         walked):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    n, calls, out, mine = len(weights), [], io.StringIO(), [0]
+    theirs = survey._two_processes(n, _weighted(weights, calls, forks), out.write, least, mine, [0])
+    assert out.getvalue() == "".join("%d\n" % k for k in range(n))
+    assert mine[0] + theirs[0] == n
+    before = [(i, j) for i, j, forked in calls if not forked]
+    if walked is not None:
+        assert len(forks) == 1 and before == [(k, k + 1) for k in range(walked)]
+    elif n < 3 or len(cpus) == 1:  # one call for every item
+        assert forks == [] and theirs == [0] and before == [(0, n)]
+    else:  # every run, one by one
+        assert forks == [] and theirs == [0] and before == [(k, k + 1) for k in range(n)]
 
 
 @pytest.mark.parametrize("waits", ["child", "parent"])
@@ -608,24 +651,30 @@ def test_a_steered_export_adds_the_child_bins_once(forks, monkeypatch, tmp_path,
     with monkeypatch.context() as patch:
         patch.setattr(survey, "_forkable", lambda: False)
         want = export(qs, 12, BAND_FULL, want_csv, 1.0)
-    steer, two = _Steer(tmp_path, waits), survey._two_processes
+    steer, two = _Steer(tmp_path, waits, forks), survey._two_processes
     monkeypatch.setattr(survey, "_two_processes", lambda n, job, *args: two(n, steer.wrap(job), *args))
     got_csv = io.StringIO()
     assert export(qs, 12, BAND_FULL, got_csv, 1.0) == want
     assert got_csv.getvalue() == want_csv.getvalue()
-    assert len(steer.calls) == (survey._RUNS - 1 if waits == "child" else 1)
+    # the window forks after its first run of 23 Qs
+    assert len(steer.calls) == (survey._RUNS - 1 if waits == "child" else 2)
     assert len(forks) == 1
 
 
 def test_the_export_forks_from_its_row_threshold(forks):
-    # the first Qs give _PROBE_ROWS rows; the rest must hold _FORK_MIN_ROWS at their rate
-    rows = done = 0
-    while rows < survey._PROBE_ROWS:
-        done += 1
-        rows += sum(1 for _ in _sides([done], 12))
-    hi = done + 2
-    while rows * (hi - done) < survey._FORK_MIN_ROWS * done:
-        hi += 1
+    # 1..hi forks after the first run d whose rows, at their rate per run, put _FORK_MIN_ROWS
+    # in the runs left, with two runs or more left
+    rows = [len(_window(12 * q)[2]) for q in range(1, 1001)]
+
+    def forked(hi):
+        runs, walked = min(hi, survey._RUNS), 0
+        for done in range(1, runs - 1):
+            walked += sum(rows[hi * (done - 1) // runs:hi * done // runs])
+            if walked * (runs - done) >= survey._FORK_MIN_ROWS * done:
+                return True
+        return False
+
+    hi = next(hi for hi in range(1, 1001) if forked(hi))
     _check_export(range(1, hi), 12, BAND_FULL, 1.0)  # one Q short of the threshold
     assert forks == []
     _check_export(range(1, hi + 1), 12, BAND_FULL, 1.0)
@@ -643,7 +692,7 @@ def test_one_q_is_one_process_however_many_rows(forks, monkeypatch):
 @pytest.mark.parametrize("qs", [[1], [1, 2], range(1, 41), [7, 225, 288, 1125]])
 def test_the_row_loop_counts_the_rows_before_the_band_filter(qs, m, band):
     keep = None if band == BAND_FULL else survey._BANDS[band]
-    assert survey._rows(qs, m, keep, None, [0] * 90, 1.0) == sum(1 for _ in _sides(qs, m))
+    assert survey._rows(qs, m, keep, None, [0] * 90, 1.0) == sum(len(_window(m * q)[2]) for q in qs)
 
 
 def test_one_process_without_fork_a_second_cpu_or_a_quiet_process(forks, monkeypatch):
@@ -680,7 +729,7 @@ def test_a_wrong_right_angle_in_the_child_is_raised_here(forks, monkeypatch, cap
 
     monkeypatch.setattr(survey, "divisors_from_factors", at_the_last_q)
     with pytest.raises(ValueError) as one_q:
-        list(_sides([qs[-1]], 12))
+        enumerate_solutions([qs[-1]], 12)
     for fp, width in [(io.StringIO(), None), (None, 1.0)]:
         with pytest.raises(ValueError) as raised:
             export(qs, 12, BAND_FULL, fp, width)

@@ -5,9 +5,7 @@ from maksarum.sexagesimal import parse, place_value_equal
 from maksarum.tablet import (
     ERROR_NONE,
     corrected_table,
-    explain_errors,
     p322_q_set,
-    row15_repairs,
 )
 
 
@@ -41,22 +39,6 @@ def test_raw_row11_uses_floating_notation():
     row11 = corrected_table()[10]
     assert parse(row11.raw_a).value == 2700  # carved with a trailing zero place
     assert place_value_equal(parse(row11.raw_a), 45)
-
-
-def test_explain_errors():
-    models = {m.index: m for m in explain_errors()}
-    assert set(models) == {2, 9, 13, 15}
-    assert all(m.reproduced for m in models.values())
-    assert parse(corrected_table()[1].raw_d).value == 11521 == 161**2 - 120**2
-    assert parse(corrected_table()[12].raw_a).value == 25921 == 161**2
-    assert parse(corrected_table()[8].raw_a).value == 541
-
-
-def test_row15_repairs():
-    repairs = dict((name, t) for name, t in row15_repairs())
-    assert repairs["double_d"] == Triple(56, 90, 106)
-    assert repairs["halve_a"] == Triple(28, 45, 53)
-    assert repairs["scale_60"] == Triple(1680, 2700, 3180) == corrected_table()[14].triple
 
 
 def test_rows_sort_to_tablet_order():
